@@ -7,7 +7,9 @@ Newtonian gravity exactly.
 """
 
 from .constants import G
-from .errors import ConfigError, LazyNewtonError, RegimeError, SingularApproach
+from .errors import (
+    AdaptiveBudgetExceeded, ConfigError, LazyNewtonError, RegimeError, SingularApproach
+)
 from .evaluator import (
     AdaptiveSimpson,
     GaussLegendre,
@@ -61,6 +63,7 @@ __all__ = [
     "SingularApproach",
     "RegimeError",
     "ConfigError",
+    "AdaptiveBudgetExceeded",
     "Trajectory",
     "Static",
     "UniformVelocity",

@@ -20,6 +20,10 @@ class SingularApproach(LazyNewtonError):
         self.source_index = source_index
 
 
+class AdaptiveBudgetExceeded(LazyNewtonError, RuntimeError):
+    """Adaptive quadrature spent its evaluation budget, e.g. on a point on the past path."""
+
+
 class RegimeError(LazyNewtonError, ValueError):
     """A scenario precondition (validity regime) is violated."""
 

@@ -15,17 +15,18 @@ e^(-t_max_factor) is below double precision relevance at the default 40 and
 is not renormalized away.
 """
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .constants import G
-from .errors import SingularApproach
-from .frames import build_frame
+from .errors import AdaptiveBudgetExceeded, SingularApproach
+from .frames import build_frame, relative_source_path
 from .kinematics import as_vec3
 
 __all__ = [
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 CHUNK = 512  # grid points per evaluation block; fixed so thread count never changes results
+# integrand evaluations one adaptive integral may spend; the test suite's
+# hardest converging integral needs about 12,000
+_ADAPTIVE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,7 @@ class KernelNodes:
         return self.taus.size
 
 
-@lru_cache(maxsize=8)
-def _leggauss(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+_leggauss = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 
 def _clean_breakpoints(breakpoints, t_max):
@@ -182,20 +183,16 @@ def kernel_weights(params, breakpoints=()):
     bounds = [0.0] + _clean_breakpoints(breakpoints, t_max) + [t_max]
     x, w = _leggauss(spec.order)
     max_seg = spec.max_segment_tau_g * tau_g
-    taus = []
-    weights = []
-    n_segments = 0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        n_sub = max(1, math.ceil((b - a) / max_seg - 1e-12))
-        edges = np.linspace(a, b, n_sub + 1)
-        n_segments += n_sub
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            t_seg = mid + half * x
-            taus.append(t_seg)
-            weights.append(half * w * np.exp(-t_seg / tau_g) / tau_g)
-    return KernelNodes(np.concatenate(taus), np.concatenate(weights), n_segments)
+    # panel edges: each [a, b] split evenly into panels of at most max_seg
+    edges = np.append(np.concatenate([
+        np.linspace(a, b, max(1, math.ceil((b - a) / max_seg - 1e-12)) + 1)[:-1]
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]), t_max)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    taus = 0.5 * (hi + lo) + half * x
+    weights = half * w * np.exp(-taus / tau_g) / tau_g
+    return KernelNodes(taus.ravel(), weights.ravel(), len(edges) - 1)
 
 
 def _instantaneous(mass, pos, r, eps):
@@ -210,40 +207,19 @@ def _instantaneous(mass, pos, r, eps):
     return -G * mass / d, (-G * mass / d**3) * u
 
 
-def _eval_nodes(mass, path, nodes, r, t, eps):
-    """Weighted node sum of potential and field along ``path``."""
-    pos = path(t - nodes.taus)  # (n, 3)
-    u = r - pos
-    d2 = np.einsum("ij,ij->i", u, u)
-    d = np.sqrt(d2)
-    i_min = int(np.argmin(d))
-    if d[i_min] <= eps:
-        raise SingularApproach(
-            f"field point {d[i_min]:.3e} m from the past source path "
-            f"(guard radius {eps:.3e} m)",
-            distance=float(d[i_min]),
-            when=float(t - nodes.taus[i_min]),
-        )
-    # exactly rounded sums: downstream fits amplify ulp-level noise by the
-    # probe-distance / displacement ratio, so plain accumulation is too loose
-    phi = -G * mass * math.fsum(nodes.weights / d)
-    coeff = nodes.weights / (d2 * d)
-    g = -G * mass * np.array(
-        [math.fsum(coeff * u[:, 0]), math.fsum(coeff * u[:, 1]), math.fsum(coeff * u[:, 2])]
-    )
-    return phi, g
+def _guard_error(d, when, eps, i):
+    msg = f"source {i}: field point {d:.3e} m from the past source path (guard radius {eps:.3e} m)"
+    return SingularApproach(msg, distance=d, when=when, source_index=i)
 
 
 def _adaptive_step(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
+    flm = f(0.5 * (a + m))
+    frm = f(0.5 * (m + b))
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if depth <= 0 or float(np.max(np.abs(delta))) <= 15.0 * tol:
+    if depth <= 0 or float(np.abs(delta).max()) <= 15.0 * tol:
         return left + right + delta / 15.0
     return _adaptive_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_step(
         f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
@@ -251,124 +227,77 @@ def _adaptive_step(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def _adaptive_integral(f, bounds, rel_tol):
-    """Adaptive Simpson of a vector integrand over consecutive segments."""
+    """Adaptive Simpson of a scalar or vector integrand over consecutive segments.
+
+    Integrands the rule cannot resolve, such as a field point on the past
+    path, raise AdaptiveBudgetExceeded after _ADAPTIVE_BUDGET evaluations
+    instead of recursing without end.
+    """
+    calls = itertools.count(1)
+
+    def counted(x):
+        if next(calls) > _ADAPTIVE_BUDGET:
+            raise AdaptiveBudgetExceeded(
+                f"adaptive Simpson: no convergence in {_ADAPTIVE_BUDGET} evaluations")
+        return f(x)
+
     segs = []
-    coarse = None
     for a, b in zip(bounds[:-1], bounds[1:]):
-        fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        coarse = whole if coarse is None else coarse + whole
-        segs.append((a, b, fa, fm, fb, whole))
-    scale = float(np.max(np.abs(coarse)))
+        fa, fm, fb = counted(a), counted(0.5 * (a + b)), counted(b)
+        segs.append((a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)))
+    scale = float(np.max(np.abs(sum(seg[-1] for seg in segs))))
     tol = rel_tol * (scale if scale > 0.0 else 1.0) / len(segs)
-    total = None
-    for a, b, fa, fm, fb, whole in segs:
-        part = _adaptive_step(f, a, b, fa, fm, fb, whole, tol, 48)
-        total = part if total is None else total + part
-    return total
-
-
-def _eval_adaptive(mass, path, breakpoints, r, t, params):
-    tau_g = params.tau_g
-    eps = params.softening_eps
-
-    def f(tau):
-        u = r - path(t - tau)
-        d2 = float(u @ u)
-        d = math.sqrt(d2)
-        if d <= eps:
-            raise SingularApproach(
-                f"field point {d:.3e} m from the past source path "
-                f"(guard radius {eps:.3e} m)",
-                distance=d,
-                when=t - tau,
-            )
-        c = math.exp(-tau / tau_g) / tau_g * (-G * mass)
-        return np.array([c / d, c * u[0] / (d2 * d), c * u[1] / (d2 * d), c * u[2] / (d2 * d)])
-
-    bounds = [0.0] + _clean_breakpoints(breakpoints, params.t_max) + [params.t_max]
-    out = _adaptive_integral(f, bounds, params.quadrature.rel_tol)
-    return float(out[0]), out[1:4]
+    return sum(_adaptive_step(counted, *seg, tol, 48) for seg in segs)
 
 
 def _tau_breakpoints(trajectory, t, params):
     return [t - s for s in trajectory.breakpoints_in(t - params.t_max, t)]
 
 
-def _eval_along_path(mass, trajectory, path, r, t, params):
-    """(potential, field) of one source whose frame-relative path is ``path``."""
-    if params.tau_g == 0.0:
-        return _instantaneous(mass, path(t), r, params.softening_eps)
-    bps = _tau_breakpoints(trajectory, t, params)
-    if isinstance(params.quadrature, GaussLegendre):
-        nodes = kernel_weights(params, bps)
-        return _eval_nodes(mass, path, nodes, r, t, params.softening_eps)
-    return _eval_adaptive(mass, path, bps, r, t, params)
+def _framed(source, ambient, t, params):
+    """(source, path, shift) of ``source`` seen from its free-fall frame matched at t."""
+    if params.tau_g == 0.0:  # no look-back: only the lab position at t matters
+        return source, source.trajectory.position, 0.0
+    frame = build_frame(source.trajectory, ambient, t, params.t_max)
+    return source, partial(relative_source_path, frame, source.trajectory), frame.origin(t)
 
 
-def delayed_potential_naive(source, r, t, params, *, path=None):
-    """Delayed potential along an explicit path, no frame construction.
+def _path_nodes(source, path, shift, t, params):
+    """Effective node masses of one source: positions, weights and lag times.
 
-    ``path`` defaults to the source's lab trajectory. This form is only
-    physically meaningful when the supplied path already lives in the
-    source's co-moving free-fall frame; applied to a boosted lab description
-    it reproduces the frame-dependence this law's frame prescription removes.
+    The node at lag tau sits at path(t - tau) + shift and carries -G M times
+    its kernel weight. The naive route passes the lab path and no shift; the
+    framed route passes the frame-relative path and the frame origin at t.
     """
-    r = as_vec3(r, "r")
-    if path is None:
-        path = source.trajectory.position
-    phi, _ = _eval_along_path(source.mass, source.trajectory, path, r, float(t), params)
-    return phi
-
-
-class _FramedGeometry:
-    """Field point and source path mapped into the source's free-fall frame."""
-
-    def __init__(self, source, ambient, t, params):
-        self.frame = build_frame(source.trajectory, ambient, t, params.t_max)
-        self.origin_t = self.frame.origin(t)
-        traj = source.trajectory
-
-        def rel_path(s):
-            return traj.position(s) - self.frame.origin(s)
-
-        self.rel_path = rel_path
-
-
-def _framed_eval(source, ambient, r, t, params):
-    r = as_vec3(r, "r")
-    t = float(t)
     if params.tau_g == 0.0:
-        return _instantaneous(source.mass, source.trajectory.position(t), r, params.softening_eps)
-    geo = _FramedGeometry(source, ambient, t, params)
-    r_frame = r - geo.origin_t
-    return _eval_along_path(source.mass, source.trajectory, geo.rel_path, r_frame, t, params)
+        return path(t)[None, :] + shift, np.array([-G * source.mass]), np.zeros(1)
+    nodes = kernel_weights(params, _tau_breakpoints(source.trajectory, t, params))
+    return path(t - nodes.taus) + shift, -G * source.mass * nodes.weights, nodes.taus
 
 
-def delayed_potential(source, ambient, r, t, params):
-    """Full prescription: evaluate in the co-moving free-fall frame at t.
+def _adaptive_point(framed, r, t, params):
+    """Adaptive-Simpson (potential, field x, y, z) at one point, summed over sources.
 
-    The frame is a pure translation, so the scalar value needs no transform
-    back to the lab.
+    ``framed`` holds (source, path, shift) triples as for _path_nodes. The
+    rule picks its own nodes per integrand, so it cross-checks the node-table
+    route rather than sharing its errors.
     """
-    return _framed_eval(source, ambient, r, t, params)[0]
+    tau_g = params.tau_g
+    eps = params.softening_eps
+    total = np.zeros(4)
+    for i, (src, path, shift) in enumerate(framed):
 
+        def f(tau, mass=src.mass, path=path, rel=r - shift, i=i):
+            u = rel - path(t - tau)
+            d2 = float(u @ u)
+            d = math.sqrt(d2)
+            if d <= eps:
+                raise _guard_error(d, t - tau, eps, i)
+            c = math.exp(-tau / tau_g) / tau_g * (-G * mass)
+            return np.array([c / d, c * u[0] / (d2 * d), c * u[1] / (d2 * d), c * u[2] / (d2 * d)])
 
-def delayed_field(source, ambient, r, t, params):
-    """Gravitational acceleration -grad(phi); directions are translation-invariant."""
-    return _framed_eval(source, ambient, r, t, params)[1]
-
-
-def superposed_potential(sources, ambient, r, t, params):
-    """Sum of independently framed single-source potentials."""
-    total = 0.0
-    for i, src in enumerate(sources):
-        try:
-            total += delayed_potential(src, ambient, r, t, params)
-        except SingularApproach as exc:
-            raise SingularApproach(
-                f"source {i}: {exc}", distance=exc.distance, when=exc.when, source_index=i
-            ) from None
+        bps = _clean_breakpoints(_tau_breakpoints(src.trajectory, t, params), params.t_max)
+        total += _adaptive_integral(f, [0.0] + bps + [params.t_max], params.quadrature.rel_tol)
     return total
 
 
@@ -385,8 +314,17 @@ class PreparedScene:
 
     positions: np.ndarray  # (K, 3)
     weights: np.ndarray  # (K,), include the -G*M factor
+    lags: np.ndarray  # (K,), kernel lag tau of each node
     softening_eps: float
     n_nodes_per_source: tuple
+
+
+def _scene(framed, t, params):
+    parts = [_path_nodes(*f, t, params) for f in framed]
+    empty = (np.zeros((0, 3)), np.zeros(0), np.zeros(0))  # keeps a source-free scene well formed
+    positions, weights, lags = (np.concatenate(p) for p in zip(*parts, empty))
+    counts = tuple(len(w) for _, w, _ in parts)
+    return PreparedScene(positions, weights, lags, params.softening_eps, counts)
 
 
 def prepare_scene(sources, ambient, t, params):
@@ -394,35 +332,16 @@ def prepare_scene(sources, ambient, t, params):
     if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
         raise ValueError("scene preparation needs a fixed node table; use GaussLegendre")
     t = float(t)
-    pos_parts = []
-    w_parts = []
-    counts = []
-    for src in sources:
-        if params.tau_g == 0.0:
-            pos_parts.append(np.asarray(src.trajectory.position(t))[None, :])
-            w_parts.append(np.array([-G * src.mass]))
-            counts.append(1)
-            continue
-        geo = _FramedGeometry(src, ambient, t, params)
-        nodes = kernel_weights(params, _tau_breakpoints(src.trajectory, t, params))
-        rel = geo.rel_path(t - nodes.taus)
-        pos_parts.append(rel + geo.origin_t)
-        w_parts.append(-G * src.mass * nodes.weights)
-        counts.append(len(nodes))
-    if not pos_parts:
-        pos_parts = [np.zeros((0, 3))]
-        w_parts = [np.zeros(0)]
-    return PreparedScene(
-        np.vstack(pos_parts), np.concatenate(w_parts), params.softening_eps, tuple(counts)
-    )
+    return _scene([_framed(src, ambient, t, params) for src in sources], t, params)
 
 
 def _eval_block(scene, pts):
     """Potential/field of a prepared scene on one block of points.
 
-    einsum with default (non-optimized) contraction keeps the reduction
-    order fixed, so results are bitwise reproducible for a given block
-    regardless of thread count.
+    Each point reduces along its own contiguous row, so results are bitwise
+    reproducible for any thread count. The potential uses numpy's pairwise
+    sum, whose rounding grows with log K, not K: shift fits amplify ulp noise
+    by the probe-distance / displacement ratio.
     """
     d = pts[:, None, :] - scene.positions[None, :, :]  # (b, K, 3)
     r2 = np.einsum("bkj,bkj->bk", d, d)
@@ -430,11 +349,94 @@ def _eval_block(scene, pts):
     singular = np.any(r <= scene.softening_eps, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = scene.weights / r
-        phi = np.einsum("bk->b", inv)
+        phi = inv.sum(axis=1)
         grad = np.einsum("bk,bkj->bj", inv / r2, d)
     phi[singular] = np.nan
     grad[singular] = np.nan
     return phi, grad, singular
+
+
+def _values(framed, pts, t, params):
+    """Potential (n,), field (n, 3) and nodes per source at points.
+
+    ``framed`` holds (source, path, shift) triples as for _path_nodes; one
+    node table per source serves every point. A guard hit raises
+    SingularApproach describing the node nearest the first guarded point.
+    """
+    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
+        out = np.array([_adaptive_point(framed, r, t, params) for r in pts]).reshape(-1, 4)
+        return out[:, 0], out[:, 1:], (0,) * len(framed)
+    scene = _scene(framed, t, params)
+    phi, grad, singular = _eval_block(scene, pts)
+    if singular.any():
+        u = pts[np.argmax(singular)] - scene.positions
+        d = np.sqrt(np.einsum("kj,kj->k", u, u))
+        k = int(np.argmin(d))
+        i = int(np.searchsorted(np.cumsum(scene.n_nodes_per_source), k, side="right"))
+        raise _guard_error(float(d[k]), t - float(scene.lags[k]), scene.softening_eps, i)
+    return phi, grad, scene.n_nodes_per_source
+
+
+def delayed_potential_naive(source, r, t, params, *, path=None):
+    """Delayed potential along an explicit path, no frame construction.
+
+    ``path`` defaults to the source's lab trajectory. This form is only
+    physically meaningful when the supplied path already lives in the
+    source's co-moving free-fall frame; applied to a boosted lab description
+    it reproduces the frame-dependence this law's frame prescription removes.
+    """
+    r = as_vec3(r, "r")
+    t = float(t)
+    if path is None:
+        path = source.trajectory.position
+    if params.tau_g == 0.0:
+        return _instantaneous(source.mass, path(t), r, params.softening_eps)[0]
+    return float(_values([(source, path, 0.0)], r[None, :], t, params)[0][0])
+
+
+def _framed_point(source, ambient, r, t, params):
+    r = as_vec3(r, "r")
+    t = float(t)
+    if params.tau_g == 0.0:
+        return _instantaneous(source.mass, source.trajectory.position(t), r, params.softening_eps)
+    phi, grad, _ = _values([_framed(source, ambient, t, params)], r[None, :], t, params)
+    return float(phi[0]), grad[0]
+
+
+def delayed_potential(source, ambient, r, t, params):
+    """Full prescription: evaluate in the co-moving free-fall frame at t.
+
+    The frame is a pure translation, so the scalar value needs no transform
+    back to the lab.
+    """
+    return _framed_point(source, ambient, r, t, params)[0]
+
+
+def delayed_field(source, ambient, r, t, params):
+    """Gravitational acceleration -grad(phi); directions are translation-invariant."""
+    return _framed_point(source, ambient, r, t, params)[1]
+
+
+def superposed_potential(sources, ambient, r, t, params):
+    """Potential of independently framed sources at one point, from one prepared scene.
+
+    A guard hit names the offending source in SingularApproach.source_index.
+    """
+    t = float(t)
+    framed = [_framed(src, ambient, t, params) for src in sources]
+    return float(_values(framed, as_vec3(r, "r")[None, :], t, params)[0][0])
+
+
+def _adaptive_block(framed, t, params, pts):
+    """_eval_block's contract for the adaptive scheme, one point at a time."""
+    out = np.full((pts.shape[0], 4), np.nan)
+    singular = np.zeros(pts.shape[0], dtype=bool)
+    for i, r in enumerate(pts):
+        try:
+            out[i] = _adaptive_point(framed, r, t, params)
+        except SingularApproach:
+            singular[i] = True
+    return out[:, 0], out[:, 1:], singular
 
 
 def _resolve_threads(threads):
@@ -458,42 +460,20 @@ def scene_potential_field(sources, ambient, points, t, params, threads=0):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
+    t = float(t)
     n = pts.shape[0]
     phi = np.empty(n)
     grad = np.empty((n, 3))
     singular = np.zeros(n, dtype=bool)
 
     if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
-        geos = [_FramedGeometry(src, ambient, float(t), params) for src in sources]
-
-        def run_block(lo, hi):
-            for i in range(lo, hi):
-                acc_phi = 0.0
-                acc_grad = np.zeros(3)
-                try:
-                    for src, geo in zip(sources, geos):
-                        p, g = _eval_along_path(
-                            src.mass,
-                            src.trajectory,
-                            geo.rel_path,
-                            pts[i] - geo.origin_t,
-                            float(t),
-                            params,
-                        )
-                        acc_phi += p
-                        acc_grad += g
-                except SingularApproach:
-                    phi[i] = np.nan
-                    grad[i] = np.nan
-                    singular[i] = True
-                else:
-                    phi[i] = acc_phi
-                    grad[i] = acc_grad
+        framed = [_framed(src, ambient, t, params) for src in sources]
+        block = partial(_adaptive_block, framed, t, params)
     else:
-        scene = prepare_scene(sources, ambient, float(t), params)
+        block = partial(_eval_block, prepare_scene(sources, ambient, t, params))
 
-        def run_block(lo, hi):
-            phi[lo:hi], grad[lo:hi], singular[lo:hi] = _eval_block(scene, pts[lo:hi])
+    def run_block(lo, hi):
+        phi[lo:hi], grad[lo:hi], singular[lo:hi] = block(pts[lo:hi])
 
     blocks = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     workers = _resolve_threads(threads)

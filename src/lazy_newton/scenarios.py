@@ -19,13 +19,12 @@ import numpy as np
 from .constants import G
 from .errors import RegimeError
 from .evaluator import (
-    AdaptiveSimpson,
     KernelParams,
     Source,
     _adaptive_integral,
-    delayed_potential,
+    _framed,
+    _values,
     delayed_potential_naive,
-    kernel_weights,
 )
 from .frames import UniformField, ZeroField
 from .kinematics import CircularOrbit, PiecewiseStatic, Static, UniformVelocity, as_vec3
@@ -131,14 +130,12 @@ def _deviation(predicted, simulated):
     }
 
 
-def _kernel_diagnostics(params, n_evals):
-    if params.tau_g == 0.0 or not hasattr(params.quadrature, "order"):
-        return {"kernel_nodes": 0, "kernel_segments": 0, "potential_evaluations": n_evals}
-    nodes = kernel_weights(params)
+def _kernel_diagnostics(params, n_evals, tables):
+    """Size of the largest node table the runner evaluated with; adaptive runs have none."""
+    nodes = max(tables) if params.tau_g > 0.0 else 0
+    order = getattr(params.quadrature, "order", 1)  # nodes per Gauss-Legendre panel
     return {
-        "kernel_nodes": len(nodes),
-        "kernel_segments": nodes.n_segments,
-        "potential_evaluations": n_evals,
+        "kernel_nodes": nodes, "kernel_segments": nodes // order, "potential_evaluations": n_evals
     }
 
 
@@ -227,9 +224,11 @@ def estimate_report(rho_nucl):
     )
 
 
-def _fit_from_probes(source, ambient, probes, t, params):
-    samples = [(p, delayed_potential(source, ambient, p, t, params)) for p in probes]
-    return fit_apparent_shift(samples, source.mass, source.trajectory.position(t))
+def _potentials(source, ambient, points, t, params, tables):
+    """Framed potentials at points from one frame and node table; logs its size in ``tables``."""
+    phi, _, nodes = _values([_framed(source, ambient, t, params)], np.atleast_2d(points), t, params)
+    tables.append(nodes[0])
+    return phi
 
 
 def static_shift_scenario(g_mag, tau_g, mass, probe_distances=(1.0,), *, params=None):
@@ -261,8 +260,11 @@ def static_shift_scenario(g_mag, tau_g, mass, probe_distances=(1.0,), *, params=
 
     source = Source(mass, Static((0.0, 0.0, 0.0)))
     ambient = UniformField((0.0, 0.0, -g_mag))
-    fits = [_fit_from_probes(source, ambient, probe_shell((0.0, 0.0, 0.0), d), 0.0, params)
-            for d in distances]
+    tables = []
+    fits = []
+    for probes in (probe_shell((0.0, 0.0, 0.0), d) for d in distances):
+        phis = _potentials(source, ambient, probes, 0.0, params, tables)
+        fits.append(fit_apparent_shift(zip(probes, phis), mass, (0.0, 0.0, 0.0)))
 
     up_shifts = [float(f.delta[2]) for f in fits]
     deviations = [_deviation(predicted_shift, s) for s in up_shifts]
@@ -283,7 +285,7 @@ def static_shift_scenario(g_mag, tau_g, mass, probe_distances=(1.0,), *, params=
             "fit_converged": [f.converged for f in fits],
         },
         deviation={"delta_up_m": worst, "delta_up_m_per_distance": deviations},
-        diagnostics=_kernel_diagnostics(params, len(distances) * len(_SHELL_DIRECTIONS)),
+        diagnostics=_kernel_diagnostics(params, len(distances) * len(_SHELL_DIRECTIONS), tables),
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -323,11 +325,13 @@ def orbit_scenario(radius, omega, tau_g, mass, *, probe_distance=1.0, params=Non
     ambient = ZeroField()
     t_eval = 0.0
 
-    phi_center = delayed_potential(source, ambient, (0.0, 0.0, 0.0), t_eval, params)
-    ratio_minus_1 = abs(phi_center) * radius / (G * mass) - 1.0
-
     nominal = traj.position(t_eval)
-    fit = _fit_from_probes(source, ambient, probe_shell(nominal, probe_distance), t_eval, params)
+    probes = probe_shell(nominal, probe_distance)
+    tables = []
+    phis = _potentials(source, ambient, np.vstack([np.zeros(3), probes]), t_eval, params, tables)
+    phi_center = float(phis[0])
+    ratio_minus_1 = abs(phi_center) * radius / (G * mass) - 1.0
+    fit = fit_apparent_shift(zip(probes, phis[1:]), mass, nominal)
     inward = -nominal / radius  # unit vector from the source toward the center
     delta_toward_center = float(fit.delta @ inward)
     tangential = fit.delta - (fit.delta @ inward) * inward
@@ -363,7 +367,7 @@ def orbit_scenario(radius, omega, tau_g, mass, *, probe_distance=1.0, params=Non
             "center_ratio_minus_1": _deviation(pred_ratio, ratio_minus_1),
             "delta_toward_center_m": _deviation(pred_shift, delta_toward_center),
         },
-        diagnostics=_kernel_diagnostics(params, 1 + len(_SHELL_DIRECTIONS)),
+        diagnostics=_kernel_diagnostics(params, 1 + len(_SHELL_DIRECTIONS), tables),
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -401,8 +405,9 @@ def jump_scenario(a, tau_g, mass, r, times, *, params=None):
 
     sims = []
     preds = []
+    tables = []
     for t in times:
-        sims.append(delayed_potential(source, ambient, r, t, params))
+        sims.append(float(_potentials(source, ambient, r, t, params, tables)[0]))
         w_old = math.exp(-t / params.tau_g) if params.tau_g > 0.0 else 0.0
         preds.append(w_old * (-G * mass / d_old) + (1.0 - w_old) * (-G * mass / d_new))
     devs = [_deviation(p, s) for p, s in zip(preds, sims)]
@@ -428,7 +433,7 @@ def jump_scenario(a, tau_g, mass, r, times, *, params=None):
             "max_relative": worst["relative"],
             "per_time_relative": [d["relative"] for d in devs],
         },
-        diagnostics=_kernel_diagnostics(params, len(times)),
+        diagnostics=_kernel_diagnostics(params, len(times), tables),
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -467,8 +472,10 @@ def boost_demo(v, tau_g, mass, r, *, params=None):
 
     rest_naive = delayed_potential_naive(rest_source, r, t_eval, params)
     boosted_naive = delayed_potential_naive(boosted_source, r, t_eval, params)
-    rest_framed = delayed_potential(rest_source, ambient, r, t_eval, params)
-    boosted_framed = delayed_potential(boosted_source, ambient, r, t_eval, params)
+    # the naive calls build the same tables: breakpoints come from the trajectory
+    tables = []
+    rest_framed = float(_potentials(rest_source, ambient, r, t_eval, params, tables)[0])
+    boosted_framed = float(_potentials(boosted_source, ambient, r, t_eval, params, tables)[0])
 
     naive_ratio = boosted_naive / rest_naive
     framed_ratio = boosted_framed / rest_framed
@@ -499,7 +506,7 @@ def boost_demo(v, tau_g, mass, r, *, params=None):
             "naive_over_rest": _deviation(pred_naive_ratio, naive_ratio),
             "framed_over_rest": _deviation(1.0, framed_ratio),
         },
-        diagnostics=_kernel_diagnostics(params, 4),
+        diagnostics=_kernel_diagnostics(params, 4, tables),
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -512,14 +519,16 @@ def _boosted_kernel_average(v, params, r):
     """
     if params.tau_g == 0.0:
         return 1.0
-    shift = v * params.tau_g
-    dist = float(np.linalg.norm(r))
+    sx, sy, sz = (float(c) for c in v * params.tau_g)
+    rx, ry, rz = (float(c) for c in r)
+    dist = math.hypot(rx, ry, rz)
     u_max = params.t_max_factor
 
+    # a scalar integrand keeps each evaluation cheap, so a spent budget fails fast
     def f(u):
-        return np.array([math.exp(-u) * dist / float(np.linalg.norm(r - shift * u))])
+        return math.exp(-u) * dist / math.hypot(rx - sx * u, ry - sy * u, rz - sz * u)
 
     # split at u = 1 where the integrand's scale turns over, then integrate
     rel_tol = getattr(params.quadrature, "rel_tol", 1e-13)
     total = _adaptive_integral(f, [0.0, 1.0, u_max], min(rel_tol, 1e-13))
-    return float(total[0]) / (1.0 - math.exp(-u_max))
+    return total / (1.0 - math.exp(-u_max))

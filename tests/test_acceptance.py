@@ -23,8 +23,9 @@ from lazy_newton.evaluator import (
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
+    kernel_weights,
 )
-from lazy_newton.frames import PointMassField, UniformField, ZeroField
+from lazy_newton.frames import PointMassField, UniformField, ZeroField, build_frame
 from lazy_newton.kinematics import (
     CircularOrbit,
     PiecewiseStatic,
@@ -344,3 +345,33 @@ def test_criterion_8_deterministic_field_map(tmp_path, monkeypatch, report):
     assert identical
     assert n_rows == 21 * 21 * 10
     assert elapsed < 10.0
+
+
+# Not a numbered criterion: the node-sum accuracy that criterion 7's
+# order-doubling margin rests on, against an exactly rounded reference.
+def fsum_reference(src, amb, r, t, params):
+    """Exactly rounded node sum over the same kernel_weights table, built by hand."""
+    frame = build_frame(src.trajectory, amb, t, params.t_max)
+    lags = [t - s for s in src.trajectory.breakpoints_in(t - params.t_max, t)]
+    nodes = kernel_weights(params, lags)
+    s = t - nodes.taus
+    u = (r - frame.origin(t)) - (src.trajectory.position(s) - frame.origin(s))
+    d = np.sqrt(np.einsum("ij,ij->i", u, u))
+    return -G * src.mass * math.fsum(nodes.weights / d)
+
+
+@pytest.mark.parametrize("tau_g", [2.55e-4, 1e-3, 1e-2])
+def test_node_sum_matches_exactly_rounded_reference(tau_g):
+    params = KernelParams(tau_g)
+    omega = 2.0 / params.t_max
+    orbit = (
+        Source(1.0, CircularOrbit((0, 0, 0), 1.0, omega)),
+        PointMassField((0, 0, 0), omega**2 / G),
+        np.array([2.5, 0.1, -0.2]),
+        0.0,
+    )
+    for src, amb, r, t in scenario_scenes() + [orbit]:
+        phi = delayed_potential(src, amb, r, t, params)
+        ref = fsum_reference(src, amb, r, t, params)
+        # pairwise sums stay under 2 eps here; a plain running sum reaches 7.4 eps
+        assert abs(phi - ref) <= 4.0 * np.finfo(float).eps * abs(ref)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestScenarioCommand:
         assert main(["scenario", "boost", "--v", "1000,0,0", "--probe", "0,1,0"]) == 0
         assert main(["scenario", "static", "--tau-g", "1e-3", "--distances", "0.5,1.0"]) == 0
         capsys.readouterr()
+
+    def test_default_boost_exits_1_within_budget(self, capsys):
+        # the default probe sits on the naive past path, where the adaptive
+        # prediction cannot converge; the evaluation budget ends it
+        start = time.perf_counter()
+        assert main(["scenario", "boost"]) == 1
+        assert time.perf_counter() - start < 10.0
+        assert "no convergence" in capsys.readouterr().err
 
     def test_regime_violation_exits_2(self, capsys):
         assert main(["scenario", "orbit", "--omega", "200", "--tau-g", "1e-3"]) == 2

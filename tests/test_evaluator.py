@@ -8,12 +8,13 @@ from scipy.integrate import quad
 from scipy.special import struve, y0
 
 from lazy_newton.constants import G
-from lazy_newton.errors import SingularApproach
+from lazy_newton.errors import AdaptiveBudgetExceeded, LazyNewtonError, SingularApproach
 from lazy_newton.evaluator import (
     AdaptiveSimpson,
     GaussLegendre,
     KernelParams,
     Source,
+    _adaptive_integral,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
@@ -222,6 +223,13 @@ class TestNaivePotential:
         assert exc.value.distance == 0.0
         assert exc.value.when is not None and exc.value.when < 0.0
 
+    def test_framed_singular_past_path_raises(self):
+        src = Source(1.0, PiecewiseStatic([(-100.0, (0, 0, 0)), (0.0, (1.0, 0, 0))]))
+        with pytest.raises(SingularApproach) as exc:
+            delayed_potential(src, ZeroField(), np.zeros(3), 1e-3, KernelParams(1e-3))
+        assert exc.value.distance == 0.0
+        assert exc.value.when is not None and exc.value.when < 0.0
+
     def test_softening_is_a_guard_not_a_smoother(self):
         src = Source(1.0, Static((0, 0, 0)))
         params = KernelParams(1e-3, softening_eps=0.5)
@@ -389,6 +397,14 @@ class TestSceneEvaluation:
         assert abs(scene.weights.sum() - expected) < 1e-15 * abs(expected)
         assert scene.positions.shape == scene.weights.shape + (3,)
 
+    def test_prepared_scene_keeps_node_lags(self):
+        sources, amb = self.scene()
+        params = KernelParams(1e-3)
+        scene = prepare_scene(sources, amb, 0.0, params)
+        taus = kernel_weights(params).taus
+        assert scene.n_nodes_per_source == (taus.size, taus.size)
+        np.testing.assert_array_equal(scene.lags, np.concatenate([taus, taus]))
+
     def test_prepare_scene_rejects_adaptive(self):
         sources, amb = self.scene()
         with pytest.raises(ValueError):
@@ -437,3 +453,15 @@ class TestSceneEvaluation:
         good = ~gl[2]
         np.testing.assert_allclose(ad[0][good], gl[0][good], rtol=1e-10)
         np.testing.assert_allclose(ad[1][good], gl[1][good], rtol=1e-9, atol=1e-22)
+
+
+class TestAdaptiveBudget:
+    def test_unresolvable_integrand_raises_named_error(self):
+        # 1/|u - c| is not integrable, so refinement never converges
+        def f(u):
+            return np.array([1.0 / abs(u - 0.3 * math.pi)])
+
+        with pytest.raises(AdaptiveBudgetExceeded) as exc:
+            _adaptive_integral(f, [0.0, 1.0, 2.0], 1e-12)
+        assert isinstance(exc.value, LazyNewtonError)
+        assert isinstance(exc.value, RuntimeError)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import struve, y0
 
+import lazy_newton.evaluator as evaluator
 from lazy_newton.constants import G
 from lazy_newton.errors import RegimeError
-from lazy_newton.evaluator import KernelParams, Source, delayed_potential
+from lazy_newton.evaluator import KernelParams, Source, delayed_potential, kernel_weights
 from lazy_newton.frames import UniformField
 from lazy_newton.kinematics import Static, UniformAcceleration
 from lazy_newton.scenarios import (
@@ -243,3 +244,47 @@ class TestReportShape:
         assert isinstance(report, ScenarioReport)
         assert report.diagnostics["kernel_nodes"] > 0
         assert report.diagnostics["potential_evaluations"] == 1
+
+
+class TestWorkPerEvaluation:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_frame": 0, "kernel_weights": 0}
+        for name in counts:
+            original = getattr(evaluator, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluator, name, counted)
+        return counts
+
+    def test_static_shift_prepares_once(self, calls):
+        static_shift_scenario(9.81, 1e-3, 1.0, probe_distances=(1.0,))
+        assert calls == {"build_frame": 1, "kernel_weights": 1}
+
+    def test_orbit_prepares_once(self, calls):
+        orbit_scenario(1.0, 10.0, 1e-3, 1.0)
+        assert calls == {"build_frame": 1, "kernel_weights": 1}
+
+
+class TestDiagnostics:
+    def test_jump_reports_the_table_split_at_the_jump(self):
+        params = KernelParams(1e-3)
+        report = jump_scenario((0, 0, 0.01), 1e-3, 1.0, (0, 0.1, 0), [0.7e-3])
+        used = kernel_weights(params, [0.7e-3])
+        assert used.n_segments == 81
+        assert report.diagnostics["kernel_segments"] == 81
+        assert report.diagnostics["kernel_nodes"] == len(used)
+        assert report.diagnostics["potential_evaluations"] == 1
+
+    def test_largest_table_over_times(self):
+        # t = 40 tau_g puts the jump at the window's edge: no split, 80 segments
+        report = jump_scenario((0, 0, 0.01), 1e-3, 1.0, (0, 0.1, 0), [0.7e-3, 4e-2])
+        assert report.diagnostics["kernel_segments"] == 81
+
+    def test_newtonian_limit_has_no_table(self):
+        report = static_shift_scenario(9.81, 0.0, 1.0)
+        assert report.diagnostics["kernel_nodes"] == 0
+        assert report.diagnostics["kernel_segments"] == 0
