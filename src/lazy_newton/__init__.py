@@ -29,7 +29,6 @@ from .frames import (
     PointMassField,
     UniformField,
     ZeroField,
-    ambient_accel,
     build_frame,
     nongrav_accel,
     relative_source_path,
@@ -76,7 +75,6 @@ __all__ = [
     "UniformField",
     "PointMassField",
     "FreeFallFrame",
-    "ambient_accel",
     "nongrav_accel",
     "build_frame",
     "relative_source_path",

@@ -25,31 +25,38 @@ __all__ = [
     "UniformField",
     "PointMassField",
     "FreeFallFrame",
-    "ambient_accel",
     "nongrav_accel",
     "build_frame",
     "relative_source_path",
 ]
 
-# Quintic Hermite basis on u in [0, 1], matching value, first and second
-# derivative at both ends. Coefficients in ascending powers u^0 .. u^5.
-_H_COEF = np.array([
-    [1.0, 0.0, 0.0, -10.0, 15.0, -6.0],   # y0
-    [0.0, 1.0, 0.0, -6.0, 8.0, -3.0],     # v0 * h
-    [0.0, 0.0, 0.5, -1.5, 1.5, -0.5],     # a0 * h^2
-    [0.0, 0.0, 0.0, 10.0, -15.0, 6.0],    # y1
-    [0.0, 0.0, 0.0, -4.0, 7.0, -3.0],     # v1 * h
-    [0.0, 0.0, 0.0, 0.5, -1.0, 0.5],      # a1 * h^2
-])
+# Maclaurin coefficients of the Stumpff functions, rows k = 9 .. 0 of
+# (C, S) = sum (-z)^k / ((2k+2)!, (2k+3)!), used for |z| < 1 where the closed
+# forms cancel. Ten terms leave a truncation error below 1e-18.
+_SERIES = np.array([[(-1.0) ** k / math.factorial(2 * k + 2), (-1.0) ** k / math.factorial(2 * k + 3)]
+                    for k in range(9, -1, -1)])
+# Laguerre-Conway meets this step tolerance in at most 6 iterations on conics
+# up to twice the escape speed; 1e-15 would sit below the roundoff floor.
+_KEPLER_TOL = 1e-13
+_KEPLER_ITERATIONS = 50
 
 
-def _basis(u, derivative):
-    """Evaluate the six Hermite basis polynomials (or a derivative) at u."""
-    coef = _H_COEF
-    for _ in range(derivative):
-        coef = coef[:, 1:] * np.arange(1, coef.shape[1])
-    powers = u[None, :] ** np.arange(coef.shape[1])[:, None]
-    return coef @ powers  # shape (6, len(u))
+def _stumpff(z):
+    """Stumpff functions C(z) and S(z) of a float array z."""
+    c, s = np.empty_like(z), np.empty_like(z)
+    near, ell = np.abs(z) < 1.0, z >= 1.0
+    hyp = ~(near | ell)
+    cs = np.zeros((2, np.count_nonzero(near)))
+    for coef in _SERIES:  # Horner, highest power first
+        cs = cs * z[near] + coef[:, None]
+    c[near], s[near] = cs
+    x = np.sqrt(z[ell])
+    c[ell] = 2.0 * np.sin(0.5 * x) ** 2 / z[ell]  # 1 - cos x without cancellation
+    s[ell] = (x - np.sin(x)) / x**3
+    x = np.sqrt(-z[hyp])
+    c[hyp] = 2.0 * np.sinh(0.5 * x) ** 2 / -z[hyp]
+    s[hyp] = (np.sinh(x) - x) / x**3
+    return c, s
 
 
 class AmbientField:
@@ -59,11 +66,6 @@ class AmbientField:
         """Field acceleration at point(s) x, shape (3,) or (n, 3)."""
         raise NotImplementedError
 
-    def _accel_floats(self, x, y, z):
-        """Scalar fast path for the frame integrator; returns a 3-tuple."""
-        out = self.accel(np.array([x, y, z]))
-        return float(out[0]), float(out[1]), float(out[2])
-
 
 class ZeroField(AmbientField):
     """No ambient gravity."""
@@ -71,9 +73,6 @@ class ZeroField(AmbientField):
     def accel(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros_like(x)
-
-    def _accel_floats(self, x, y, z):
-        return 0.0, 0.0, 0.0
 
 
 class UniformField(AmbientField):
@@ -88,16 +87,14 @@ class UniformField(AmbientField):
             return self.g.copy()
         return np.broadcast_to(self.g, x.shape).copy()
 
-    def _accel_floats(self, x, y, z):
-        return float(self.g[0]), float(self.g[1]), float(self.g[2])
-
 
 class PointMassField(AmbientField):
     """Inverse-square field of one external point mass.
 
     ``softening`` is a guard radius, not a smoothing length: any evaluation
-    within it raises SingularApproach, because the supported scenarios never
-    probe a mass interior and a near-singular query means the setup is broken.
+    within it, and any free-fall frame whose path enters it, raises
+    SingularApproach, because the supported scenarios never probe a mass
+    interior and a near-singular query means the setup is broken.
     """
 
     def __init__(self, position, mass, softening=1e-9):
@@ -124,27 +121,6 @@ class PointMassField(AmbientField):
         out = (-G * self.mass / r**3)[:, None] * d
         return out[0] if single else out
 
-    def _accel_floats(self, x, y, z):
-        dx = x - self.position[0]
-        dy = y - self.position[1]
-        dz = z - self.position[2]
-        r2 = dx * dx + dy * dy + dz * dz
-        r = math.sqrt(r2)
-        if r <= self.softening:
-            raise SingularApproach(
-                f"field evaluated {r:.3e} m from the external mass "
-                f"(guard radius {self.softening:.3e} m)",
-                distance=r,
-            )
-        c = -G * self.mass / (r2 * r)
-        return c * dx, c * dy, c * dz
-
-
-def ambient_accel(field, x, s=0.0):
-    """Ambient acceleration at x. All supported fields are static; s is ignored."""
-    del s
-    return field.accel(x)
-
 
 def nongrav_accel(traj, field, s):
     """Non-gravitational part of the source's acceleration at time(s) s."""
@@ -156,23 +132,34 @@ class FreeFallFrame:
 
     Covers s in [match_time - horizon, match_time] with y.. = ambient(y) and
     terminal data y(t) = source position, y.(t) = source velocity. Zero and
-    uniform fields use the exact parabola; other fields carry an RK4 node
-    table with quintic Hermite dense output (position, velocity and field
-    acceleration stored per node).
+    uniform fields give the parabola of acceleration ``g``; a point mass gives
+    the Kepler conic, propagated exactly with the universal variable (Danby,
+    Fundamentals of Celestial Mechanics, 1988) and a capped Laguerre-Conway
+    iteration (Conway, Celestial Mechanics 39, 1986) that raises
+    ArithmeticError if it does not converge.
     """
 
-    def __init__(self, match_time, horizon, field, p_t, v_t, *, g=None, table=None):
+    def __init__(self, match_time, horizon, field, p_t, v_t, *, g=None):
         self.match_time = float(match_time)
         self.horizon = float(horizon)
         self.field = field
         self._p_t = p_t
         self._v_t = v_t
         self._g = g
-        if table is None:
-            self._nodes = None
-        else:
-            self._nodes, self._pos, self._vel, self._acc = table
-            self._h = float(self._nodes[1] - self._nodes[0])
+        if g is None:  # Kepler conic about field.position
+            self._mu = G * field.mass
+            self._sqrt_mu = math.sqrt(self._mu)
+            self._rel_t = p_t - field.position
+            self._r_t = float(np.linalg.norm(self._rel_t))
+            self._alpha = 2.0 / self._r_t - float(v_t @ v_t) / self._mu  # 1 / semi-major axis
+            self._sigma = float(self._rel_t @ v_t) / self._sqrt_mu
+            self._h2 = float(np.sum(np.cross(self._rel_t, v_t) ** 2))  # |angular momentum|^2
+            self._e = math.sqrt(max(0.0, 1.0 - self._alpha * self._h2 / self._mu))
+            self._k = math.sqrt(abs(self._alpha))
+            # eccentric (ellipse) or hyperbolic anomaly at the match time; 0 on a parabola
+            self._anomaly = (math.atan2(self._sigma * self._k, 1.0 - self._alpha * self._r_t)
+                             if self._alpha > 0.0 else math.asinh(self._sigma * self._k / self._e))
+            self._period = 2.0 * math.pi / (self._sqrt_mu * self._k**3) if self._alpha > 0.0 else math.inf
         # edge slack for quadrature nodes landing a rounding error outside
         self._slack = 1e-9 * max(1.0, abs(self.match_time), self.horizon)
 
@@ -193,27 +180,79 @@ class FreeFallFrame:
             return self._v_t + dt[:, None] * self._g
         return np.broadcast_to(self._g, (s.size, 3)).copy()
 
-    def _hermite(self, s, derivative):
-        idx = np.floor((s - self._nodes[0]) / self._h).astype(int)
-        np.clip(idx, 0, self._nodes.size - 2, out=idx)
-        u = np.clip((s - self._nodes[idx]) / self._h, 0.0, 1.0)
-        b = _basis(u, derivative) / self._h**derivative
-        h = self._h
-        return (
-            b[0, :, None] * self._pos[idx]
-            + b[1, :, None] * self._vel[idx] * h
-            + b[2, :, None] * self._acc[idx] * h**2
-            + b[3, :, None] * self._pos[idx + 1]
-            + b[4, :, None] * self._vel[idx + 1] * h
-            + b[5, :, None] * self._acc[idx + 1] * h**2
-        )
+    def _universal(self, chi):
+        """C, S, the terms of sqrt(mu) * (s - match_time), r and dr/dchi at anomaly chi."""
+        beta = 1.0 - self._alpha * self._r_t
+        z = self._alpha * chi * chi
+        c, s = _stumpff(z)
+        terms = (self._sigma * chi * chi * c, beta * chi**3 * s, self._r_t * chi)
+        r = self._sigma * chi * (1.0 - z * s) + beta * chi * chi * c + self._r_t
+        dr = self._sigma * (1.0 - z * c) + beta * chi * (1.0 - z * s)
+        return c, s, terms, r, dr
+
+    def _chi_guess(self, dt):
+        """Kepler starter: E ~ M + e sin M, or e sinh H ~ M (no overshoot into cosh overflow)."""
+        if self._alpha == 0.0:
+            return self._sqrt_mu * dt / self._r_t
+        k, e, anomaly = self._k, self._e, self._anomaly
+        mean = self._sqrt_mu * k**3 * dt
+        if self._alpha > 0.0:
+            mean += anomaly - e * math.sin(anomaly)
+            return (mean + e * np.sin(mean) - anomaly) / k
+        mean += e * math.sinh(anomaly) - anomaly
+        return (np.arcsinh(mean / e) - anomaly) / k
+
+    def _chi(self, dt):
+        """Universal anomaly at offsets dt from match_time, by Laguerre-Conway (n = 5)."""
+        chi = self._chi_guess(dt)
+        target = self._sqrt_mu * dt
+        for _ in range(_KEPLER_ITERATIONS):
+            _, _, terms, r, dr = self._universal(chi)
+            f = sum(terms) - target
+            # near the periapsis of an eccentric orbit the terms cancel, and
+            # roundoff in f alone moves chi by more than _KEPLER_TOL
+            floor = np.abs(f) <= 8.0 * np.finfo(float).eps * (sum(map(np.abs, terms)) + np.abs(target))
+            step = 5.0 * f / (r + np.sqrt(np.abs(16.0 * r * r - 20.0 * f * dr)))
+            chi = chi - step
+            if np.all(floor | (np.abs(step) <= _KEPLER_TOL * np.abs(chi))):
+                return chi
+        raise ArithmeticError(f"Kepler propagation did not converge in {_KEPLER_ITERATIONS} iterations")
+
+    def _kepler(self, s, derivative):
+        dt = s - self.match_time
+        if self._alpha > 0.0:  # the ellipse repeats: propagate at most half a period
+            dt = dt - self._period * np.round(dt / self._period)
+        chi = self._chi(dt)
+        c, s_, _, r, _ = self._universal(chi)
+        if derivative == 1:
+            f_dot = self._sqrt_mu / (r * self._r_t) * chi * (self._alpha * chi * chi * s_ - 1.0)
+            g_dot = 1.0 - chi * chi * c / r
+            return f_dot[:, None] * self._rel_t + g_dot[:, None] * self._v_t
+        f = 1.0 - chi * chi * c / self._r_t
+        g = dt - chi**3 * s_ / self._sqrt_mu
+        rel = f[:, None] * self._rel_t + g[:, None] * self._v_t
+        if derivative == 0:
+            return rel + self.field.position
+        return (-self._mu / r**3)[:, None] * rel
+
+    def _closest_approach(self):
+        """Smallest distance to the mass over the window, and when it occurs."""
+        # universal anomaly of the periapsis nearest the match time, then the
+        # lag back to the last periapsis (% inf sends a future one to inf)
+        chi_p = -self._anomaly / self._k if self._alpha != 0.0 else -self._sigma
+        lag = -float(sum(self._universal(np.array([chi_p]))[2])[0]) / self._sqrt_mu % self._period
+        if lag <= self.horizon:
+            return self._h2 / (self._mu * (1.0 + self._e)), self.match_time - lag
+        start = self.match_time - self.horizon
+        r_start = float(np.linalg.norm(self.origin(start) - self.field.position))
+        return min((self._r_t, self.match_time), (r_start, start))
 
     def _eval(self, s, derivative):
         s, scalar = self._clamped(s)
-        if self._nodes is None:
-            out = self._analytic(s, derivative)
+        if self._g is None:
+            out = self._kepler(s, derivative)
         else:
-            out = self._hermite(s, derivative)
+            out = self._analytic(s, derivative)
         return _unwrap(out, scalar)
 
     def origin(self, s):
@@ -227,13 +266,13 @@ class FreeFallFrame:
         return self._eval(s, 2)
 
 
-def build_frame(traj, field, t, horizon, *, rk4_step=None):
+def build_frame(traj, field, t, horizon):
     """Construct the free-fall frame of ``traj`` in ``field`` matched at time t.
 
-    ``rk4_step`` overrides the integrator step for tabulated (non-analytic)
-    fields.  The default horizon/2000 balances integrator truncation against
-    roundoff amplified by the interpolant's second derivative: finer steps
-    make the tabulated acceleration noisier, not better.
+    ZeroField, UniformField and PointMassField are supported; any other
+    ambient raises TypeError. A point-mass frame whose conic comes within the
+    guard radius anywhere in [t - horizon, t], between samples included,
+    raises SingularApproach with the closest distance and its time.
     """
     t = float(t)
     horizon = float(horizon)
@@ -247,55 +286,17 @@ def build_frame(traj, field, t, horizon, *, rk4_step=None):
         return FreeFallFrame(t, horizon, field, p_t, v_t, g=g)
     if isinstance(field, UniformField):
         return FreeFallFrame(t, horizon, field, p_t, v_t, g=field.g.copy())
+    if not isinstance(field, PointMassField):
+        raise TypeError(f"no free-fall frame for ambient {type(field).__name__}")
 
-    if rk4_step is None:
-        rk4_step = horizon / 2000.0
-    if not rk4_step > 0.0:
-        raise ValueError("rk4_step must be positive")
-    n = max(1, math.ceil(horizon / rk4_step - 1e-12))
-    h = -horizon / n  # integrate backward in time
-    f = field._accel_floats
-
-    yx, yy, yz = float(p_t[0]), float(p_t[1]), float(p_t[2])
-    vx, vy, vz = float(v_t[0]), float(v_t[1]), float(v_t[2])
-    pos = np.empty((n + 1, 3))
-    vel = np.empty((n + 1, 3))
-    acc = np.empty((n + 1, 3))
-    s_now = t
-    try:
-        for k in range(n + 1):
-            ax, ay, az = f(yx, yy, yz)
-            pos[k] = yx, yy, yz
-            vel[k] = vx, vy, vz
-            acc[k] = ax, ay, az
-            if k == n:
-                break
-            # classic RK4 on (y, v) with step h < 0
-            k2x, k2y, k2z = f(yx + 0.5 * h * vx, yy + 0.5 * h * vy, yz + 0.5 * h * vz)
-            v2x, v2y, v2z = vx + 0.5 * h * ax, vy + 0.5 * h * ay, vz + 0.5 * h * az
-            k3x, k3y, k3z = f(yx + 0.5 * h * v2x, yy + 0.5 * h * v2y, yz + 0.5 * h * v2z)
-            v3x, v3y, v3z = vx + 0.5 * h * k2x, vy + 0.5 * h * k2y, vz + 0.5 * h * k2z
-            k4x, k4y, k4z = f(yx + h * v3x, yy + h * v3y, yz + h * v3z)
-            v4x, v4y, v4z = vx + h * k3x, vy + h * k3y, vz + h * k3z
-            yx += h / 6.0 * (vx + 2.0 * v2x + 2.0 * v3x + v4x)
-            yy += h / 6.0 * (vy + 2.0 * v2y + 2.0 * v3y + v4y)
-            yz += h / 6.0 * (vz + 2.0 * v2z + 2.0 * v3z + v4z)
-            vx += h / 6.0 * (ax + 2.0 * k2x + 2.0 * k3x + k4x)
-            vy += h / 6.0 * (ay + 2.0 * k2y + 2.0 * k3y + k4y)
-            vz += h / 6.0 * (az + 2.0 * k2z + 2.0 * k3z + k4z)
-            s_now = t + (k + 1) * h
-    except SingularApproach as exc:
-        raise SingularApproach(
-            f"free-fall path came within {exc.distance:.3e} m of the external "
-            f"mass near s = {s_now:.6g} s",
-            distance=exc.distance,
-            when=s_now,
-        ) from None
-
-    # stored backward from t; flip to ascending time for interpolation
-    nodes = t + h * np.arange(n, -1, -1.0)
-    table = (nodes, pos[::-1].copy(), vel[::-1].copy(), acc[::-1].copy())
-    return FreeFallFrame(t, horizon, field, p_t, v_t, table=table)
+    distance, when = float(np.linalg.norm(p_t - field.position)), t
+    if distance > field.softening:
+        frame = FreeFallFrame(t, horizon, field, p_t, v_t)
+        distance, when = frame._closest_approach()
+    if distance <= field.softening:
+        raise SingularApproach(f"free-fall path came within {distance:.3e} m of the external "
+                               f"mass near s = {when:.6g} s", distance=distance, when=when)
+    return frame
 
 
 def relative_source_path(frame, traj, s):

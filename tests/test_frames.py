@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
+from lazy_newton import frames
 from lazy_newton.constants import G
 from lazy_newton.errors import SingularApproach
 from lazy_newton.frames import (
+    AmbientField,
     PointMassField,
     UniformField,
     ZeroField,
-    ambient_accel,
     build_frame,
     nongrav_accel,
     relative_source_path,
@@ -29,7 +33,7 @@ def test_zero_and_uniform_accel():
     np.testing.assert_array_equal(ZeroField().accel(x), [0.0, 0.0, 0.0])
     g = UniformField((0.0, 0.0, -9.81))
     np.testing.assert_array_equal(g.accel(x), [0.0, 0.0, -9.81])
-    np.testing.assert_array_equal(ambient_accel(g, np.zeros((4, 3)))[2], [0.0, 0.0, -9.81])
+    np.testing.assert_array_equal(g.accel(np.zeros((4, 3)))[2], [0.0, 0.0, -9.81])
 
 
 def test_point_mass_earth_surface_magnitude():
@@ -40,16 +44,12 @@ def test_point_mass_earth_surface_magnitude():
     expected = G * 5.972e24 / 6.371e6**2
     assert abs(expected - 9.82) < 0.01
     np.testing.assert_allclose(a, [-expected, 0.0, 0.0], rtol=1e-14)
-    # float fast path agrees with the vector path
-    np.testing.assert_allclose(field._accel_floats(*r), a, rtol=1e-15)
 
 
 def test_point_mass_guard_radius():
     field = PointMassField((1.0, 0.0, 0.0), 1.0, softening=1e-3)
     with pytest.raises(SingularApproach):
         field.accel(np.array([1.0, 0.0, 1e-4]))
-    with pytest.raises(SingularApproach):
-        field._accel_floats(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         PointMassField((0, 0, 0), -1.0)
 
@@ -103,33 +103,83 @@ def test_free_falling_source_has_zero_relative_path():
     assert np.max(np.linalg.norm(rel, axis=1)) < 1e-10
 
 
-def test_rk4_table_against_ivp_oracle():
-    # non-trivial frame: source held static in a point-mass field, so the
-    # frame origin free-falls radially; compare against a tight RK45 solve
+_MU_1E10 = G * 1.0e10
+_V_CIRC_1M = math.sqrt(_MU_1E10)  # circular speed at 1 m from 1e10 kg
+# from (1, 0, 0) m: an e ~ 0.81 ellipse with 1 / semi-major axis 0.19 / m
+_ELLIPSE_V = np.array([0.0, math.sqrt(1.8), 0.1]) * _V_CIRC_1M
+_ELLIPSE_PERIOD = 2.0 * math.pi / math.sqrt(_MU_1E10 * 0.19**3)
+
+
+@pytest.mark.parametrize(
+    "p, v, horizon",
+    [
+        # source held static: the frame origin falls radially
+        ((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.5),
+        # eccentric ellipse, three revolutions
+        ((1.0, 0.0, 0.0), _ELLIPSE_V, 3.0 * _ELLIPSE_PERIOD),
+        # outbound hyperbola, periapsis inside the window
+        ((1.0, 0.0, 0.0), np.array([0.3, 1.8, 0.1]) * _V_CIRC_1M, 20.0),
+    ],
+    ids=["radial", "ellipse", "hyperbola"],
+)
+def test_point_mass_frame_against_ivp_oracle(p, v, horizon):
+    # compare against a tight DOP853 solve of y.. = -G M y / |y|^3
     field = PointMassField((0.0, 0.0, 0.0), 1.0e10)
-    held = Static((2.0, 0.0, 0.0))
-    t, horizon = 0.0, 1.5
-    frame = build_frame(held, field, t, horizon)
+    src = UniformVelocity(p, v)
+    t = 0.0
+    frame = build_frame(src, field, t, horizon)
 
     def rhs(_, y):
         return np.concatenate([y[3:], field.accel(y[:3])])
 
-    state0 = np.concatenate([held.position(t), held.velocity(t)])
-    sol = solve_ivp(rhs, (t, t - horizon), state0, rtol=1e-12, atol=1e-14, dense_output=True)
-    s = np.linspace(t - horizon, t, 37)
-    expected = sol.sol(s)[:3].T
-    np.testing.assert_allclose(frame.origin(s), expected, rtol=1e-10, atol=1e-12)
+    state0 = np.concatenate([src.position(t), src.velocity(t)])
+    sol = solve_ivp(rhs, (t, t - horizon), state0, method="DOP853", rtol=1e-13, atol=1e-15,
+                    dense_output=True)
+    s = np.linspace(t - horizon, t, 301)
+    expected = sol.sol(s)
+    for got, want in ((frame.origin(s), expected[:3].T), (frame.origin_velocity(s), expected[3:].T)):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
-def test_rk4_origin_obeys_field_ode():
+def test_point_mass_origin_obeys_field_ode():
     # hardest legal case: one radian of orbital phase per quarter horizon
     orbit, field = kepler_circular(1.0, 1.0)
     frame = build_frame(orbit, field, 0.0, 4.0)
-    # off-node points exercise the dense output, not just the RK4 nodes
     s = np.linspace(-3.99, -0.01, 211) + 1e-4
     residual = frame.origin_acceleration(s) - field.accel(frame.origin(s))
     scale = np.linalg.norm(field.accel(frame.origin(s)), axis=1)
     assert np.max(np.linalg.norm(residual, axis=1) / scale) < 1e-9
+
+
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: math.hypot(*u) > 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r_dir=_UNIT, v_dir=_UNIT, r0=st.floats(0.5, 2.0), speed=st.floats(0.2, 2.0),
+       spans=st.floats(0.01, 30.0))
+def test_point_mass_frame_conserves_energy_and_angular_momentum(r_dir, v_dir, r0, speed, spans):
+    # bound (speed < 1) and unbound conics; speed is in units of escape speed
+    center = np.array([3.0, -1.0, 2.0])
+    rel = r0 * np.array(r_dir) / math.hypot(*r_dir)
+    v = speed * math.sqrt(2.0 * _MU_1E10 / r0) * np.array(v_dir) / math.hypot(*v_dir)
+    h2 = float(np.sum(np.cross(rel, v) ** 2))
+    e = math.sqrt(max(0.0, 1.0 - (2.0 / r0 - v @ v / _MU_1E10) * h2 / _MU_1E10))
+    assume(h2 / (_MU_1E10 * (1.0 + e)) > 0.05 * r0)  # periapsis well clear of the guard
+    t, horizon = 0.7, spans * r0**1.5 / _V_CIRC_1M
+    src = UniformVelocity(center + rel - t * v, v)
+    frame = build_frame(src, PointMassField(center, 1.0e10), t, horizon)
+
+    np.testing.assert_allclose(frame.origin(t), src.position(t), rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(frame.origin_velocity(t), v, rtol=1e-15, atol=1e-15)
+    s = np.linspace(t - horizon, t, 101)
+    y = frame.origin(s) - center
+    w = frame.origin_velocity(s)
+    r = np.linalg.norm(y, axis=1)
+    speed2 = np.einsum("ij,ij->i", w, w)
+    energy = 0.5 * speed2 - _MU_1E10 / r
+    assert np.max(np.abs(energy - energy[-1])) <= 1e-10 * np.max(0.5 * speed2 + _MU_1E10 / r)
+    h = np.cross(y, w)
+    assert np.max(np.linalg.norm(h - h[-1], axis=1)) <= 1e-10 * np.max(r * np.sqrt(speed2))
 
 
 def test_frame_domain_errors():
@@ -153,6 +203,36 @@ def test_frame_path_hitting_mass_raises():
         build_frame(held, field, 0.0, 3.0 * free_fall_time)
     assert exc.value.distance is not None
     assert exc.value.when is not None
+
+
+def test_frame_flyby_periapsis_between_samples_raises():
+    # hyperbolic flyby whose periapsis (q = 5e-4 m, 1 s before t = 0) lies
+    # inside the 1e-3 m guard; sampling the path at any fixed step misses it
+    mass, q, ecc = 1.0e10, 5e-4, 2.0
+    mu = G * mass
+    a = q / (1.0 - ecc)  # negative semi-major axis
+    n = math.sqrt(mu / -a**3)
+    big_h = brentq(lambda x: ecc * math.sinh(x) - x - n * 1.0, 0.0, 50.0)
+    h_dot = n / (ecc * math.cosh(big_h) - 1.0)
+    b = -a * math.sqrt(ecc * ecc - 1.0)
+    pos = (a * (math.cosh(big_h) - ecc), b * math.sinh(big_h), 0.0)
+    vel = (a * math.sinh(big_h) * h_dot, b * math.cosh(big_h) * h_dot, 0.0)
+    field = PointMassField((0.0, 0.0, 0.0), mass, softening=1e-3)
+    with pytest.raises(SingularApproach) as exc:
+        build_frame(UniformVelocity(pos, vel), field, 0.0, 4.0)
+    assert abs(exc.value.when + 1.0) < 1e-6
+    assert exc.value.distance == pytest.approx(q, rel=1e-9)
+    # the same flyby with the periapsis outside the window is clear
+    build_frame(UniformVelocity(pos, vel), field, 0.0, 0.5)
+
+
+def test_build_frame_rejects_unsupported_ambient():
+    class Harmonic(AmbientField):
+        def accel(self, x):
+            return -np.asarray(x, dtype=float)
+
+    with pytest.raises(TypeError):
+        build_frame(Static((1.0, 0.0, 0.0)), Harmonic(), 0.0, 1.0)
 
 
 def test_galilean_covariance_of_relative_path():
@@ -183,3 +263,11 @@ def test_orbit_relative_path_small_lag_expansion():
     np.testing.assert_allclose(rel, expected, rtol=1e-12, atol=1e-15)
     # leading order: radial part is -R w^2 tau^2 / 2, next correction (w tau)^2/12
     assert abs(rel[0] + 0.5 * R * w**2 * tau**2) < 1e-3 * abs(rel[0])
+
+
+def test_unconverged_kepler_propagation_raises(monkeypatch):
+    monkeypatch.setattr(frames, "_KEPLER_ITERATIONS", 1)
+    src = UniformVelocity((1.0, 0.0, 0.0), _ELLIPSE_V)
+    frame = build_frame(src, PointMassField((0, 0, 0), 1.0e10), 0.0, 0.1)
+    with pytest.raises(ArithmeticError):
+        frame.origin(np.linspace(-0.1, 0.0, 5))
