@@ -228,12 +228,18 @@ def _parse_quadrature(path, data):
     f = _Fields(path, data)
     scheme = f.take("scheme")
     if scheme == "gauss_legendre":
+        default = GaussLegendre()
         out = GaussLegendre(
-            _as_int(f"{path}.order", f.take("order", 32), minimum=2),
-            _as_float(f"{path}.max_segment_tau_g", f.take("max_segment_tau_g", 0.5), positive=True),
+            _as_int(f"{path}.order", f.take("order", default.order), minimum=2),
+            _as_float(
+                f"{path}.max_segment_tau_g",
+                f.take("max_segment_tau_g", default.max_segment_tau_g),
+                positive=True,
+            ),
         )
     elif scheme == "adaptive_simpson":
-        rel_tol = _as_float(f"{path}.rel_tol", f.take("rel_tol", 1e-12), positive=True)
+        rel_tol = _as_float(f"{path}.rel_tol", f.take("rel_tol", AdaptiveSimpson().rel_tol),
+                            positive=True)
         if rel_tol > 1e-6:
             raise ConfigError(f"{path}.rel_tol", "must be <= 1e-6")
         out = AdaptiveSimpson(rel_tol)
@@ -533,7 +539,8 @@ def _build_parser():
         help="kernel time constant in seconds (default: the nuclear-density estimate)",
     )
     kernel.add_argument("--mass", type=float, default=1.0, help="source mass in kg")
-    kernel.add_argument("--order", type=int, default=32, help="Gauss-Legendre order")
+    kernel.add_argument("--order", type=int, default=GaussLegendre().order,
+                        help="Gauss-Legendre order")
     kernel.add_argument("--t-max-factor", type=float, default=40.0,
                         help="look-back truncation in units of tau_g")
 

@@ -15,7 +15,6 @@ e^(-t_max_factor) is below double precision relevance at the default 40 and
 is not renormalized away.
 """
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -46,6 +45,7 @@ __all__ = [
 ]
 
 CHUNK = 512  # grid points per evaluation block; fixed so thread count never changes results
+MAX_SPLIT = 100  # most equal sub-panels one coarse panel splits into near the past path
 # integrand evaluations one adaptive integral may spend; the test suite's
 # hardest converging integral needs about 12,000
 _ADAPTIVE_BUDGET = 100_000
@@ -55,13 +55,17 @@ _ADAPTIVE_BUDGET = 100_000
 class GaussLegendre:
     """Composite Gauss-Legendre rule, one panel per kernel segment.
 
-    Segments never exceed ``max_segment_tau_g`` kernel time constants, so a
-    32-point panel integrates the exponential times any smooth path factor to
-    near machine precision.
+    Segments never exceed ``max_segment_tau_g`` kernel time constants: the
+    default 5 gives 8 panels of 32 points over the 40 tau_g window. A
+    32-point panel integrates the exponential times any path factor that is
+    smooth on the panel's scale to near machine precision. Where a field
+    point comes closer to a panel's stretch of past path than the stretch is
+    long, the evaluator splits that panel into equal sub-panels of the same
+    order for that block of points (see _split_counts).
     """
 
     order: int = 32
-    max_segment_tau_g: float = 0.5
+    max_segment_tau_g: float = 5.0
 
     def __post_init__(self):
         object.__setattr__(self, "order", int(self.order))
@@ -136,12 +140,16 @@ class KernelNodes:
     """Fixed quadrature nodes for the kernel integral; iterates as (tau, weight) pairs.
 
     Weights absorb the exponential density, so sum(weights) equals the kernel
-    mass on [0, t_max], 1 - e^(-t_max_factor).
+    mass on [0, t_max], 1 - e^(-t_max_factor), to within an ulp wherever the
+    rule has converged, and exactly on every default table tested (see
+    _match_mass). Panel i holds nodes order * i up to order * (i + 1) and
+    spans the lags edges[i] to edges[i + 1].
     """
 
     taus: np.ndarray
     weights: np.ndarray
     n_segments: int
+    edges: np.ndarray
 
     def __iter__(self):
         return iter(zip(self.taus, self.weights))
@@ -150,7 +158,75 @@ class KernelNodes:
         return self.taus.size
 
 
-_leggauss = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, in the precision of x."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], each within two ulps of exact.
+
+    numpy's leggauss weights carry relative errors up to 6e-14 at order 32
+    and 1e-12 at order 64, which a 5 tau_g panel no longer averages away.
+    Newton steps in long double polish its nodes, and the weights come from
+    the polished nodes before both round to float64. Where long double is
+    plain double the same steps still cut the weight errors tenfold (order
+    32: 6e-15), but not to an ulp.
+    """
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    x = 0.5 * (x - x[::-1])  # the rule is symmetric; an odd order's middle node is 0
+    _, dp = _legendre(n, x)
+    nodes, weights = x.astype(float), (2.0 / ((1.0 - x * x) * dp * dp)).astype(float)
+    nodes.flags.writeable = weights.flags.writeable = False  # cached, shared by every caller
+    return nodes, weights
+
+
+def _panel_nodes(edges, tau_g, order):
+    """Lags and kernel weights, both (P, order), of one panel per [edges[i], edges[i + 1]].
+
+    The density e^(-tau/tau_g) is taken as e^(-mid) e^(-half x), so a
+    node's own rounding stays out of the exponent; at 35 tau_g that
+    rounding alone moved a panel's weight sum by 4 ulp.
+    """
+    x, w = _gauss_legendre(order)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    taus = mid + half * x
+    return taus, half * w * np.exp(-mid / tau_g) * np.exp(-half * x / tau_g) / tau_g
+
+
+def _match_mass(weights, mass):
+    """Nudge the largest weights until weights.sum() == mass, in place.
+
+    Each weight is within a few ulps of exact, but their roundings need not
+    cancel in the sum. Only such rounding-level misses, up to 16 ulps of the
+    mass, are corrected; a larger miss is the rule's own truncation error (a
+    low order on long panels) and stays visible. The largest weight takes
+    the whole miss, then single-ulp steps follow; a step that jumps the sum
+    over ``mass`` moves on to the next-largest weight, whose ulp is finer.
+    The sum ends within an ulp of the mass even if the 64 steps run out.
+    """
+    miss = weights.sum() - mass
+    if miss == 0.0 or abs(miss) > 16.0 * math.ulp(mass):
+        return
+    order = np.argsort(weights)[::-1]
+    weights[order[0]] -= miss
+    j = 0
+    for _ in range(64):
+        last, miss = miss, weights.sum() - mass
+        if miss == 0.0:
+            return
+        if miss * last < 0.0:
+            j = min(j + 1, order.size - 1)
+        weights[order[j]] = np.nextafter(weights[order[j]], -math.copysign(math.inf, miss))
 
 
 def _clean_breakpoints(breakpoints, t_max):
@@ -179,20 +255,17 @@ def kernel_weights(params, breakpoints=()):
     if not isinstance(spec, GaussLegendre):
         raise ValueError("kernel_weights needs the fixed-node GaussLegendre scheme")
     t_max = params.t_max
-    tau_g = params.tau_g
     bounds = [0.0] + _clean_breakpoints(breakpoints, t_max) + [t_max]
-    x, w = _leggauss(spec.order)
-    max_seg = spec.max_segment_tau_g * tau_g
+    max_seg = spec.max_segment_tau_g * params.tau_g
     # panel edges: each [a, b] split evenly into panels of at most max_seg
     edges = np.append(np.concatenate([
         np.linspace(a, b, max(1, math.ceil((b - a) / max_seg - 1e-12)) + 1)[:-1]
         for a, b in zip(bounds[:-1], bounds[1:])
     ]), t_max)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    taus = 0.5 * (hi + lo) + half * x
-    weights = half * w * np.exp(-taus / tau_g) / tau_g
-    return KernelNodes(taus.ravel(), weights.ravel(), len(edges) - 1)
+    taus, weights = _panel_nodes(edges, params.tau_g, spec.order)
+    weights = weights.ravel()
+    _match_mass(weights, -math.expm1(-params.t_max_factor))
+    return KernelNodes(taus.ravel(), weights, len(edges) - 1, edges)
 
 
 def _instantaneous(mass, pos, r, eps):
@@ -214,36 +287,39 @@ def _guard_error(d, when, eps, i):
 
 def _adaptive_step(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
-    flm = f(0.5 * (a + m))
-    frm = f(0.5 * (m + b))
+    flm, frm = f((0.5 * (a + m), 0.5 * (m + b)))
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if depth <= 0 or float(np.abs(delta).max()) <= 15.0 * tol:
+    err = abs(delta)  # a float for scalar integrands, which skip numpy's max
+    if depth <= 0 or (err if isinstance(err, float) else float(err.max())) <= 15.0 * tol:
         return left + right + delta / 15.0
     return _adaptive_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_step(
         f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
     )
 
 
-def _adaptive_integral(f, bounds, rel_tol):
+def _adaptive_integral(f, bounds, rel_tol, *, vectorized=False):
     """Adaptive Simpson of a scalar or vector integrand over consecutive segments.
 
-    Integrands the rule cannot resolve, such as a field point on the past
-    path, raise AdaptiveBudgetExceeded after _ADAPTIVE_BUDGET evaluations
-    instead of recursing without end.
+    ``f`` maps one lag to a value, or with ``vectorized`` a sequence of lags
+    to a sequence of values; the rule asks for the new points of each step
+    in one call. Integrands the rule cannot resolve, such as a field point
+    on the past path, raise AdaptiveBudgetExceeded after _ADAPTIVE_BUDGET
+    evaluations instead of recursing without end.
     """
-    calls = itertools.count(1)
+    used = [0]
 
-    def counted(x):
-        if next(calls) > _ADAPTIVE_BUDGET:
+    def counted(xs):
+        used[0] += len(xs)
+        if used[0] > _ADAPTIVE_BUDGET:
             raise AdaptiveBudgetExceeded(
                 f"adaptive Simpson: no convergence in {_ADAPTIVE_BUDGET} evaluations")
-        return f(x)
+        return f(xs) if vectorized else tuple(map(f, xs))
 
     segs = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        fa, fm, fb = counted(a), counted(0.5 * (a + b)), counted(b)
+        fa, fm, fb = counted((a, 0.5 * (a + b), b))
         segs.append((a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)))
     scale = float(np.max(np.abs(sum(seg[-1] for seg in segs))))
     tol = rel_tol * (scale if scale > 0.0 else 1.0) / len(segs)
@@ -263,16 +339,28 @@ def _framed(source, ambient, t, params):
 
 
 def _path_nodes(source, path, shift, t, params):
-    """Effective node masses of one source: positions, weights and lag times.
+    """Effective node masses of one source, and the coarse panels they fill.
 
     The node at lag tau sits at path(t - tau) + shift and carries -G M times
     its kernel weight. The naive route passes the lab path and no shift; the
     framed route passes the frame-relative path and the frame origin at t.
+    Returns node positions, weights and lags, then per panel its lag edges
+    (P, 2), the length of the polyline through its end points and nodes, and
+    that polyline's longest step.
     """
     if params.tau_g == 0.0:
-        return path(t)[None, :] + shift, np.array([-G * source.mass]), np.zeros(1)
+        no_panels = np.zeros((0, 2)), np.zeros(0), np.zeros(0)
+        return path(t)[None, :] + shift, np.array([-G * source.mass]), np.zeros(1), *no_panels
     nodes = kernel_weights(params, _tau_breakpoints(source.trajectory, t, params))
-    return path(t - nodes.taus) + shift, -G * source.mass * nodes.weights, nodes.taus
+    at = path(t - np.concatenate([nodes.taus, nodes.edges]))  # one path call for both
+    at, ends = at[:nodes.taus.size], at[nodes.taus.size:]
+    line = np.concatenate(
+        [ends[:-1, None], at.reshape(nodes.n_segments, -1, 3), ends[1:, None]], axis=1
+    )
+    steps = np.linalg.norm(np.diff(line, axis=1), axis=2)
+    edges = np.column_stack([nodes.edges[:-1], nodes.edges[1:]])
+    weights = -G * source.mass * nodes.weights
+    return at + shift, weights, nodes.taus, edges, steps.sum(axis=1), steps.max(axis=1)
 
 
 def _adaptive_point(framed, r, t, params):
@@ -280,24 +368,29 @@ def _adaptive_point(framed, r, t, params):
 
     ``framed`` holds (source, path, shift) triples as for _path_nodes. The
     rule picks its own nodes per integrand, so it cross-checks the node-table
-    route rather than sharing its errors.
+    route rather than sharing its errors. Each step's new lags go to the
+    path in one call.
     """
     tau_g = params.tau_g
     eps = params.softening_eps
     total = np.zeros(4)
     for i, (src, path, shift) in enumerate(framed):
 
-        def f(tau, mass=src.mass, path=path, rel=r - shift, i=i):
-            u = rel - path(t - tau)
-            d2 = float(u @ u)
-            d = math.sqrt(d2)
-            if d <= eps:
-                raise _guard_error(d, t - tau, eps, i)
-            c = math.exp(-tau / tau_g) / tau_g * (-G * mass)
-            return np.array([c / d, c * u[0] / (d2 * d), c * u[1] / (d2 * d), c * u[2] / (d2 * d)])
+        def f(taus, mass=src.mass, path=path, rel=r - shift, i=i):
+            taus = np.asarray(taus, dtype=float)
+            u = rel - path(t - taus)
+            d2 = np.einsum("kj,kj->k", u, u)
+            d = np.sqrt(d2)
+            if np.any(d <= eps):
+                k = int(np.argmax(d <= eps))
+                raise _guard_error(float(d[k]), t - float(taus[k]), eps, i)
+            c = np.exp(-taus / tau_g) / tau_g * (-G * mass)
+            return np.column_stack([c / d, (c / (d2 * d))[:, None] * u])
 
         bps = _clean_breakpoints(_tau_breakpoints(src.trajectory, t, params), params.t_max)
-        total += _adaptive_integral(f, [0.0] + bps + [params.t_max], params.quadrature.rel_tol)
+        total += _adaptive_integral(
+            f, [0.0] + bps + [params.t_max], params.quadrature.rel_tol, vectorized=True
+        )
     return total
 
 
@@ -310,21 +403,37 @@ class PreparedScene:
     point whose instantaneous Newton kernel, weighted by the kernel node
     weight times -G M, contributes linearly to potential and field. A whole
     scene then evaluates as a plain N-body sum over these nodes.
+
+    The nodes are the coarse tables, one per source. Each coarse panel keeps
+    what a block of points needs to split it near the past path: its lag
+    edges, polyline length and longest polyline step, and which source's
+    (path, shift, -G M) it samples.
     """
 
     positions: np.ndarray  # (K, 3)
     weights: np.ndarray  # (K,), include the -G*M factor
     lags: np.ndarray  # (K,), kernel lag tau of each node
-    softening_eps: float
     n_nodes_per_source: tuple
+    panel_edges: np.ndarray  # (P, 2), lag interval of each coarse panel
+    panel_lengths: np.ndarray  # (P,), polyline length through end points and nodes
+    panel_gaps: np.ndarray  # (P,), longest step of that polyline
+    panel_sources: np.ndarray  # (P,), index into paths
+    paths: tuple  # per source (path, shift, -G M)
+    t: float
+    params: KernelParams
 
 
 def _scene(framed, t, params):
     parts = [_path_nodes(*f, t, params) for f in framed]
-    empty = (np.zeros((0, 3)), np.zeros(0), np.zeros(0))  # keeps a source-free scene well formed
-    positions, weights, lags = (np.concatenate(p) for p in zip(*parts, empty))
-    counts = tuple(len(w) for _, w, _ in parts)
-    return PreparedScene(positions, weights, lags, params.softening_eps, counts)
+    # the empty arrays keep a source-free scene well formed
+    empty = (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    positions, weights, lags, edges, lengths, gaps = (np.concatenate(p) for p in zip(*parts, empty))
+    counts = tuple(len(p[1]) for p in parts)
+    sources = np.repeat(np.arange(len(parts)), [len(p[3]) for p in parts])
+    paths = tuple((path, shift, -G * src.mass) for src, path, shift in framed)
+    return PreparedScene(
+        positions, weights, lags, counts, edges, lengths, gaps, sources, paths, t, params
+    )
 
 
 def prepare_scene(sources, ambient, t, params):
@@ -335,46 +444,114 @@ def prepare_scene(sources, ambient, t, params):
     return _scene([_framed(src, ambient, t, params) for src in sources], t, params)
 
 
-def _eval_block(scene, pts):
-    """Potential/field of a prepared scene on one block of points.
+def _split_counts(scene, r):
+    """Equal sub-panels (b, P) each point needs per coarse panel, from its node distances r (b, K).
 
-    Each point reduces along its own contiguous row, so results are bitwise
-    reproducible for any thread count. The potential uses numpy's pairwise
-    sum, whose rounding grows with log K, not K: shift fits amplify ulp noise
-    by the probe-distance / displacement ratio.
+    d_p, the distance from the point to panel p's nearest node less half the
+    longest step of the panel's polyline, bounds its distance to that
+    stretch of path from below while the path keeps close to its polyline.
+    Gauss-Legendre converges like rho^(-2n), with rho set by the nearest
+    complex singularity of 1/|r - x(t - tau)|, about d_p / speed away in
+    lag. Sub-panels no longer than d_p along the path keep it two
+    half-lengths away, rho >= 2 + sqrt(5) on a straight path; so the panel
+    needs ceil(L_p / d_p) of them, at most MAX_SPLIT, and MAX_SPLIT when
+    d_p <= 0.
     """
-    d = pts[:, None, :] - scene.positions[None, :, :]  # (b, K, 3)
+    n_panels = scene.panel_lengths.size
+    if n_panels == 0:
+        return np.ones((r.shape[0], 0), dtype=int)
+    near = r.reshape(r.shape[0], n_panels, -1).min(axis=2) - 0.5 * scene.panel_gaps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.ceil(scene.panel_lengths / near)
+    m[~(near > 0.0)] = MAX_SPLIT
+    return np.minimum(np.maximum(m, 1.0), MAX_SPLIT).astype(int)
+
+
+def _split_nodes(scene, m):
+    """(panel, its coarse node slice, sub-node positions, sub-node weights) per panel with m_p > 1.
+
+    The sub-nodes come from the framed path the scene already holds, not
+    from a new node table.
+    """
+    order = scene.params.quadrature.order
+    out = []
+    for p in np.flatnonzero(m > 1):
+        path, shift, coef = scene.paths[scene.panel_sources[p]]
+        edges = np.linspace(*scene.panel_edges[p], m[p] + 1)
+        taus, weights = _panel_nodes(edges, scene.params.tau_g, order)
+        coarse = slice(p * order, (p + 1) * order)
+        out.append((p, coarse, path(scene.t - taus.ravel()) + shift, coef * weights.ravel()))
+    return out
+
+
+def _distances(pts, positions):
+    d = pts[:, None, :] - positions[None, :, :]  # (b, K, 3)
     r2 = np.einsum("bkj,bkj->bk", d, d)
-    r = np.sqrt(r2)
-    singular = np.any(r <= scene.softening_eps, axis=1)
+    return d, r2, np.sqrt(r2)
+
+
+def _eval_block(scene, pts):
+    """Potential, field, guard mask and per-panel split counts of a prepared scene on one block.
+
+    The distances to the coarse nodes serve both the split decision and the
+    sum. A panel splits into the most sub-panels any point of the block
+    needs (guarded points aside), and only the points that need a split
+    trade the panel's coarse nodes for its sub-panel nodes; the others keep
+    the coarse panel, which has converged for them. Each point reduces along
+    its own contiguous rows, so results are bitwise reproducible for any
+    thread count. The potential uses numpy's pairwise sum, whose rounding
+    grows with log K, not K: shift fits amplify ulp noise by the
+    probe-distance / displacement ratio.
+    """
+    eps = scene.params.softening_eps
+    d, r2, r = _distances(pts, scene.positions)
+    singular = np.any(r <= eps, axis=1)
+    counts = _split_counts(scene, r)
+    counts[singular] = 1
+    need = counts > 1
+    m = counts.max(axis=0, initial=1)
+    splits = _split_nodes(scene, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = scene.weights / r
+        for p, coarse, _, _ in splits:
+            inv[need[:, p], coarse] = 0.0
         phi = inv.sum(axis=1)
         grad = np.einsum("bk,bkj->bj", inv / r2, d)
+        for p, _, positions, weights in splits:
+            rows = need[:, p]
+            d, r2, r = _distances(pts[rows], positions)
+            singular[rows] |= np.any(r <= eps, axis=1)
+            inv = weights / r
+            phi[rows] += inv.sum(axis=1)
+            grad[rows] += np.einsum("bk,bkj->bj", inv / r2, d)
     phi[singular] = np.nan
     grad[singular] = np.nan
-    return phi, grad, singular
+    return phi, grad, singular, m
 
 
 def _values(framed, pts, t, params):
-    """Potential (n,), field (n, 3) and nodes per source at points.
+    """Potential (n,), field (n, 3) and the evaluated table at points.
 
     ``framed`` holds (source, path, shift) triples as for _path_nodes; one
-    node table per source serves every point. A guard hit raises
-    SingularApproach describing the node nearest the first guarded point.
+    node table per source serves every point, split near the path as
+    _eval_block decides. The table is (nodes, panels, split panels) summed
+    over sources, all zero without a Gauss-Legendre kernel. A guard hit
+    raises SingularApproach describing the coarse node nearest the first
+    guarded point.
     """
     if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
         out = np.array([_adaptive_point(framed, r, t, params) for r in pts]).reshape(-1, 4)
-        return out[:, 0], out[:, 1:], (0,) * len(framed)
+        return out[:, 0], out[:, 1:], (0, 0, 0)
     scene = _scene(framed, t, params)
-    phi, grad, singular = _eval_block(scene, pts)
+    phi, grad, singular, m = _eval_block(scene, pts)
     if singular.any():
         u = pts[np.argmax(singular)] - scene.positions
         d = np.sqrt(np.einsum("kj,kj->k", u, u))
         k = int(np.argmin(d))
         i = int(np.searchsorted(np.cumsum(scene.n_nodes_per_source), k, side="right"))
-        raise _guard_error(float(d[k]), t - float(scene.lags[k]), scene.softening_eps, i)
-    return phi, grad, scene.n_nodes_per_source
+        raise _guard_error(float(d[k]), t - float(scene.lags[k]), params.softening_eps, i)
+    panels = int(m.sum())
+    return phi, grad, (panels * getattr(params.quadrature, "order", 0), panels, int(np.sum(m > 1)))
 
 
 def delayed_potential_naive(source, r, t, params, *, path=None):
@@ -428,7 +605,7 @@ def superposed_potential(sources, ambient, r, t, params):
 
 
 def _adaptive_block(framed, t, params, pts):
-    """_eval_block's contract for the adaptive scheme, one point at a time."""
+    """_eval_block's contract for the adaptive scheme, one point at a time; no panels."""
     out = np.full((pts.shape[0], 4), np.nan)
     singular = np.zeros(pts.shape[0], dtype=bool)
     for i, r in enumerate(pts):
@@ -436,7 +613,7 @@ def _adaptive_block(framed, t, params, pts):
             out[i] = _adaptive_point(framed, r, t, params)
         except SingularApproach:
             singular[i] = True
-    return out[:, 0], out[:, 1:], singular
+    return out[:, 0], out[:, 1:], singular, np.zeros(0, dtype=int)
 
 
 def _resolve_threads(threads):
@@ -473,7 +650,7 @@ def scene_potential_field(sources, ambient, points, t, params, threads=0):
         block = partial(_eval_block, prepare_scene(sources, ambient, t, params))
 
     def run_block(lo, hi):
-        phi[lo:hi], grad[lo:hi], singular[lo:hi] = block(pts[lo:hi])
+        phi[lo:hi], grad[lo:hi], singular[lo:hi], _ = block(pts[lo:hi])
 
     blocks = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     workers = _resolve_threads(threads)

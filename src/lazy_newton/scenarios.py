@@ -24,7 +24,6 @@ from .evaluator import (
     _adaptive_integral,
     _framed,
     _values,
-    delayed_potential_naive,
 )
 from .frames import UniformField, ZeroField
 from .kinematics import CircularOrbit, PiecewiseStatic, Static, UniformVelocity, as_vec3
@@ -131,11 +130,17 @@ def _deviation(predicted, simulated):
 
 
 def _kernel_diagnostics(params, n_evals, tables):
-    """Size of the largest node table the runner evaluated with; adaptive runs have none."""
-    nodes = max(tables) if params.tau_g > 0.0 else 0
-    order = getattr(params.quadrature, "order", 1)  # nodes per Gauss-Legendre panel
+    """The largest node table the runner evaluated with, split panels included.
+
+    ``tables`` holds one (nodes, panels, split panels) per evaluation;
+    adaptive runs and the Newtonian limit have none.
+    """
+    nodes, segments, split = max(tables) if params.tau_g > 0.0 else (0, 0, 0)
     return {
-        "kernel_nodes": nodes, "kernel_segments": nodes // order, "potential_evaluations": n_evals
+        "kernel_nodes": nodes,
+        "kernel_segments": segments,
+        "split_panels": split,
+        "potential_evaluations": n_evals,
     }
 
 
@@ -225,9 +230,16 @@ def estimate_report(rho_nucl):
 
 
 def _potentials(source, ambient, points, t, params, tables):
-    """Framed potentials at points from one frame and node table; logs its size in ``tables``."""
-    phi, _, nodes = _values([_framed(source, ambient, t, params)], np.atleast_2d(points), t, params)
-    tables.append(nodes[0])
+    """Potentials at points from one frame and node table; logs the table in ``tables``.
+
+    ``ambient`` None evaluates the naive form along the lab trajectory.
+    """
+    if ambient is None:
+        framed = (source, source.trajectory.position, 0.0)
+    else:
+        framed = _framed(source, ambient, t, params)
+    phi, _, table = _values([framed], np.atleast_2d(points), t, params)
+    tables.append(table)
     return phi
 
 
@@ -470,10 +482,9 @@ def boost_demo(v, tau_g, mass, r, *, params=None):
     ambient = ZeroField()
     t_eval = 0.0
 
-    rest_naive = delayed_potential_naive(rest_source, r, t_eval, params)
-    boosted_naive = delayed_potential_naive(boosted_source, r, t_eval, params)
-    # the naive calls build the same tables: breakpoints come from the trajectory
     tables = []
+    rest_naive = float(_potentials(rest_source, None, r, t_eval, params, tables)[0])
+    boosted_naive = float(_potentials(boosted_source, None, r, t_eval, params, tables)[0])
     rest_framed = float(_potentials(rest_source, ambient, r, t_eval, params, tables)[0])
     boosted_framed = float(_potentials(boosted_source, ambient, r, t_eval, params, tables)[0])
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from lazy_newton.cli import main, parse_grid_spec, parse_scene_config
+from lazy_newton.cli import _build_parser, main, parse_grid_spec, parse_scene_config
 from lazy_newton.errors import ConfigError
 from lazy_newton.evaluator import AdaptiveSimpson, GaussLegendre
 
@@ -134,6 +134,17 @@ class TestSceneConfig:
         del doc["ambient"]
         cfg = parse_scene_config(doc)
         assert cfg.to_dict()["ambient"] == {"kind": "zero"}
+
+    def test_quadrature_defaults_are_the_library_defaults(self):
+        doc = scene_doc()
+        assert "quadrature" not in doc
+        assert parse_scene_config(doc).params.quadrature == GaussLegendre()
+        doc["quadrature"] = {"scheme": "gauss_legendre", "order": 16}
+        assert parse_scene_config(doc).params.quadrature == GaussLegendre(order=16)
+        doc["quadrature"] = {"scheme": "adaptive_simpson"}
+        assert parse_scene_config(doc).params.quadrature == AdaptiveSimpson()
+        args = _build_parser().parse_args(["scenario", "static"])
+        assert args.order == GaussLegendre().order
 
 
 class TestGridSpec:

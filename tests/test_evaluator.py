@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from lazy_newton.evaluator import (
     KernelParams,
     Source,
     _adaptive_integral,
+    _panel_nodes,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
@@ -67,9 +70,9 @@ class TestKernelWeights:
     def test_node_layout(self):
         params = KernelParams(1e-3)
         nodes = kernel_weights(params)
-        # 40 tau_g span / (tau_g/2 per segment) = 80 segments of order 32
-        assert nodes.n_segments == 80
-        assert len(nodes) == 80 * 32
+        # 40 tau_g span / (5 tau_g per segment) = 8 segments of order 32
+        assert nodes.n_segments == 8
+        assert len(nodes) == 8 * 32
         assert np.all(np.diff(nodes.taus) > 0)
         assert np.all(nodes.weights > 0)
         assert nodes.taus[0] > 0 and nodes.taus[-1] < params.t_max
@@ -104,6 +107,80 @@ class TestKernelWeights:
         nodes = kernel_weights(params, breakpoints=[cut * params.t_max])
         total = nodes.weights.sum()
         assert abs(total - (1.0 - math.exp(-factor))) < 1e-14
+
+
+@lru_cache(maxsize=None)
+def decimal_rule(order, digits=50):
+    """Oracle: Gauss-Legendre nodes and weights to 50 digits, independent of numpy.
+
+    Newton's method on the Legendre recurrence in decimal arithmetic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        rule = []
+        for i in range(order):
+            x = Decimal(math.cos(math.pi * (i + 0.75) / (order + 0.5)))
+            for _ in range(100):
+                p0, p1 = Decimal(1), x
+                for k in range(1, order):
+                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                dp = order * (x * p1 - p0) / (x * x - 1)
+                step = p1 / dp
+                x -= step
+                if abs(step) < Decimal(10) ** -(digits + 5):
+                    break
+            p0, p1 = Decimal(1), x
+            for k in range(1, order):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            dp = order * (x * p1 - p0) / (x * x - 1)
+            rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+        return tuple(rule)
+
+
+def decimal_panel_integrals(order, edges, digits=50):
+    """The 50-digit rule applied to e^(-x) on each panel [edges[i], edges[i + 1]].
+
+    Each value is the closed form e^(-a) (1 - e^(-L)) plus the rule's own
+    truncation error, which is below 1e-30 wherever the rule has converged.
+    """
+    rule = decimal_rule(order, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        out = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            a, b = Decimal(float(a)), Decimal(float(b))
+            half, mid = (b - a) / 2, (b + a) / 2
+            out.append(float(sum(half * w * (-(mid + half * x)).exp() for x, w in rule)))
+        return out
+
+
+class TestPolishedRule:
+    @pytest.mark.parametrize("order", [2, 8, 32, 64, 128])
+    @pytest.mark.parametrize("panel", [0.5, 5.0, 20.0])
+    def test_panel_sums_match_the_exact_rule(self, order, panel):
+        # numpy's leggauss rule misses this by 11 ulp (1.2e-15) at order 32
+        # on 5 tau_g panels, and by 513 ulp at order 128 on 20 tau_g panels
+        edges = np.arange(0.0, 40.0 + 0.5 * panel, panel)
+        _, weights = _panel_nodes(edges, 1.0, order)
+        for got, want in zip(weights.sum(axis=1), decimal_panel_integrals(order, edges)):
+            assert abs(got - want) <= 4.0 * math.ulp(want)
+
+    def test_kernel_table_sums_to_the_kernel_mass(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            factor = rng.uniform(20.0, 80.0)
+            params = KernelParams(10.0 ** rng.uniform(-6.0, 3.0), t_max_factor=factor)
+            for bps in ((), [rng.uniform(0.01, 0.99) * params.t_max]):
+                assert kernel_weights(params, bps).weights.sum() == -math.expm1(-factor)
+
+    def test_unconverged_rule_keeps_its_truncation_error(self):
+        # two points per 5 tau_g panel cannot reach the kernel mass; the
+        # shortfall is the rule's, and no single weight absorbs it
+        params = KernelParams(1.0, quadrature=GaussLegendre(order=2, max_segment_tau_g=5.0))
+        nodes = kernel_weights(params)
+        edges = nodes.edges
+        np.testing.assert_array_equal(nodes.weights, _panel_nodes(edges, 1.0, 2)[1].ravel())
+        assert abs(nodes.weights.sum() - (1.0 - math.exp(-40.0))) > 1e-3
 
 
 class TestParamsValidation:
@@ -238,6 +315,76 @@ class TestNaivePotential:
         # just outside the guard the value is the plain unsoftened potential
         phi = delayed_potential_naive(src, np.array([0.6, 0.0, 0.0]), 0.0, params)
         assert abs(phi - (1.0 - math.exp(-40.0)) * (-G / 0.6)) < 1e-15
+
+
+def near_path_reference(traj, r, tau_g, approaches, width):
+    """Oracle: -G * integral_0^40 e^(-u) / |r - x(-u tau_g)| du by scipy quad.
+
+    The range is cut at each closest approach (in units of tau_g) and at 1
+    and 8 peak widths either side, so every piece is smooth or peaks at an
+    end. Returns the value and quad's summed error estimate, relative.
+    """
+    cuts = {0.0, 40.0}
+    for c in approaches:
+        cuts.update(min(max(c + k * width, 0.0), 40.0) for k in (-8, -1, 0, 1, 8))
+    cuts = sorted(cuts)
+
+    def f(u):
+        return math.exp(-u) / math.dist(r, traj.position(-u * tau_g))
+
+    parts = [
+        quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200) for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    total = math.fsum(v for v, _ in parts)
+    return -G * total, sum(e for _, e in parts) / total
+
+
+class TestNearPath:
+    """Field points s * |v| * tau_g from the naive past path, s in [0.01, 1].
+
+    A table of 5 tau_g panels alone misses these by up to 1e-3; the split
+    near the path brings them to the 1e-10 contract.
+    """
+
+    TAU_G = 1e-3
+
+    def check(self, traj, speed, approaches, lag, s, seed):
+        # r sits off the path point at ``lag``, square to its velocity
+        tangent = traj.velocity(-lag * self.TAU_G)
+        normal = np.cross(tangent, np.random.default_rng([seed, 1]).normal(size=3))
+        normal /= np.linalg.norm(normal)
+        r = traj.position(-lag * self.TAU_G) + s * speed * self.TAU_G * normal
+        ref, err = near_path_reference(traj, r, self.TAU_G, approaches, s)
+        assert err < 1e-12
+        phi = delayed_potential_naive(Source(1.0, traj), r, 0.0, KernelParams(self.TAU_G))
+        assert abs(phi - ref) <= 1e-10 * abs(ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        s=st.floats(0.01, 1.0),
+        lag=st.floats(0.0, 30.0),
+        log_speed=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_straight_path(self, s, lag, log_speed, seed):
+        direction = np.random.default_rng(seed).normal(size=3)
+        v = 10.0**log_speed * direction / np.linalg.norm(direction)
+        traj = UniformVelocity((0.0, 0.0, 0.0), v)
+        self.check(traj, float(np.linalg.norm(v)), [lag], lag, s, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        s=st.floats(0.01, 1.0),
+        lag=st.floats(0.0, 30.0),
+        log_omega_tau=st.floats(-3.0, math.log10(3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_circular_orbit(self, s, lag, log_omega_tau, seed):
+        omega = 10.0**log_omega_tau / self.TAU_G
+        traj = CircularOrbit((0.0, 0.0, 0.0), 1.0, omega)
+        # the closest approach comes back once per period
+        period = 2.0 * math.pi / (omega * self.TAU_G)
+        self.check(traj, omega, list(np.arange(lag % period, 40.0, period)), lag, s, seed)
 
 
 class TestFramedPotential:

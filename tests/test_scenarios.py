@@ -274,15 +274,29 @@ class TestDiagnostics:
         params = KernelParams(1e-3)
         report = jump_scenario((0, 0, 0.01), 1e-3, 1.0, (0, 0.1, 0), [0.7e-3])
         used = kernel_weights(params, [0.7e-3])
-        assert used.n_segments == 81
-        assert report.diagnostics["kernel_segments"] == 81
+        assert used.n_segments == 9
+        assert report.diagnostics["kernel_segments"] == 9
         assert report.diagnostics["kernel_nodes"] == len(used)
         assert report.diagnostics["potential_evaluations"] == 1
 
     def test_largest_table_over_times(self):
-        # t = 40 tau_g puts the jump at the window's edge: no split, 80 segments
+        # t = 40 tau_g puts the jump at the window's edge: no split, 8 segments
         report = jump_scenario((0, 0, 0.01), 1e-3, 1.0, (0, 0.1, 0), [0.7e-3, 4e-2])
-        assert report.diagnostics["kernel_segments"] == 81
+        assert report.diagnostics["kernel_segments"] == 9
+
+    def test_static_report_splits_no_panel(self):
+        report = static_shift_scenario(9.81, 1e-3, 1.0)
+        assert report.diagnostics["split_panels"] == 0
+        assert report.diagnostics["kernel_nodes"] == len(kernel_weights(KernelParams(1e-3)))
+
+    def test_naive_boost_splits_panels_near_the_path(self):
+        # |v| tau_g = |r|: the lab past path passes 1 m from the probe along
+        # a 5 m first panel
+        report = boost_demo((1000.0, 0, 0), 1e-3, 1.0, (0, 1.0, 0))
+        diagnostics = report.diagnostics
+        assert diagnostics["split_panels"] > 0
+        assert diagnostics["kernel_segments"] > kernel_weights(KernelParams(1e-3)).n_segments
+        assert diagnostics["kernel_nodes"] == 32 * diagnostics["kernel_segments"]
 
     def test_newtonian_limit_has_no_table(self):
         report = static_shift_scenario(9.81, 0.0, 1.0)
