@@ -19,6 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from functools import lru_cache, partial
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
 
 CHUNK = 512  # grid points per evaluation block; fixed so thread count never changes results
 MAX_SPLIT = 100  # most equal sub-panels one coarse panel splits into near the past path
+MAX_TURN = 4.0  # radians of a winding path (Trajectory.turn_rate) one panel may span
 # integrand evaluations one adaptive integral may spend; the test suite's
 # hardest converging integral needs about 12,000
 _ADAPTIVE_BUDGET = 100_000
@@ -58,7 +60,9 @@ class GaussLegendre:
     Segments never exceed ``max_segment_tau_g`` kernel time constants: the
     default 5 gives 8 panels of 32 points over the 40 tau_g window. A
     32-point panel integrates the exponential times any path factor that is
-    smooth on the panel's scale to near machine precision. Where a field
+    smooth on the panel's scale to near machine precision. A path that winds
+    (an orbit) gets panels of at most MAX_TURN radians of it, down to
+    1 / MAX_SPLIT of the default length (see kernel_weights). Where a field
     point comes closer to a panel's stretch of past path than the stretch is
     long, the evaluator splits that panel into equal sub-panels of the same
     order for that block of points (see _split_counts).
@@ -160,7 +164,7 @@ class KernelNodes:
 
 def _legendre(n, x):
     """P_n(x) and P_n'(x) by the three-term recurrence, in the precision of x."""
-    p0, p1 = np.ones_like(x), x
+    p0, p1 = 1, x
     for k in range(1, n):
         p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
     return p1, n * (x * p1 - p0) / (x * x - 1)
@@ -168,22 +172,33 @@ def _legendre(n, x):
 
 @lru_cache(maxsize=8)
 def _gauss_legendre(n):
-    """Gauss-Legendre nodes and weights on [-1, 1], each within two ulps of exact.
+    """Gauss-Legendre nodes and weights on [-1, 1], correctly rounded to float64.
 
     numpy's leggauss weights carry relative errors up to 6e-14 at order 32
     and 1e-12 at order 64, which a 5 tau_g panel no longer averages away.
-    Newton steps in long double polish its nodes, and the weights come from
-    the polished nodes before both round to float64. Where long double is
-    plain double the same steps still cut the weight errors tenfold (order
-    32: 6e-15), but not to an ulp.
+    Three Newton steps in 40-digit decimal arithmetic polish its
+    non-negative nodes (from about 16 digits to the working precision), and
+    the weights come from the polished nodes; both then round once to
+    float64, so the rule is the same on every platform. Order 32 takes about
+    5 ms, once per process.
     """
-    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
-    for _ in range(3):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    x = 0.5 * (x - x[::-1])  # the rule is symmetric; an odd order's middle node is 0
-    _, dp = _legendre(n, x)
-    nodes, weights = x.astype(float), (2.0 / ((1.0 - x * x) * dp * dp)).astype(float)
+    start = np.polynomial.legendre.leggauss(n)[0][n // 2:]
+    half = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for i, x in enumerate(start):
+            if n % 2 and i == 0:
+                x = Decimal(0)  # an odd order's middle node
+            else:
+                x = Decimal(float(x))
+                for _ in range(3):
+                    p, dp = _legendre(n, x)
+                    x -= p / dp
+            dp = _legendre(n, x)[1]
+            half.append((float(x), float(2 / ((1 - x * x) * dp * dp))))
+    x, w = np.array(half).T
+    nodes = np.concatenate([-x[n % 2:][::-1], x])
+    weights = np.concatenate([w[n % 2:][::-1], w])
     nodes.flags.writeable = weights.flags.writeable = False  # cached, shared by every caller
     return nodes, weights
 
@@ -242,11 +257,16 @@ def _clean_breakpoints(breakpoints, t_max):
     return out
 
 
-def kernel_weights(params, breakpoints=()):
+def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     """Node/weight table covering [0, t_max], split at the given kernel lags.
 
-    Only the Gauss-Legendre scheme has a fixed node table; the adaptive
-    scheme chooses nodes per integrand and is rejected here. tau_g = 0 has no
+    Panels span at most ``max_segment_tau_g`` time constants and at most
+    MAX_TURN radians of a path winding at ``turn_rate`` (rad/s), but never
+    less than 1 / MAX_SPLIT of the former. A 32-point panel over many turns
+    of an orbit aliases it: at omega tau_g = 25, 5 tau_g panels missed a
+    field point 64 radii off the orbit by 3e-5 relative. Only the
+    Gauss-Legendre scheme has a fixed node table; the adaptive scheme
+    chooses nodes per integrand and is rejected here. tau_g = 0 has no
     kernel at all (instantaneous limit).
     """
     if params.tau_g == 0.0:
@@ -257,6 +277,8 @@ def kernel_weights(params, breakpoints=()):
     t_max = params.t_max
     bounds = [0.0] + _clean_breakpoints(breakpoints, t_max) + [t_max]
     max_seg = spec.max_segment_tau_g * params.tau_g
+    if turn_rate * max_seg > MAX_TURN:
+        max_seg = max(MAX_TURN / turn_rate, max_seg / MAX_SPLIT)
     # panel edges: each [a, b] split evenly into panels of at most max_seg
     edges = np.append(np.concatenate([
         np.linspace(a, b, max(1, math.ceil((b - a) / max_seg - 1e-12)) + 1)[:-1]
@@ -330,51 +352,65 @@ def _tau_breakpoints(trajectory, t, params):
     return [t - s for s in trajectory.breakpoints_in(t - params.t_max, t)]
 
 
+def _naive(source, path=None):
+    """(source, path, shift, turn rate) of the naive form: a lab path, no shift.
+
+    A caller's ``path`` is taken to wind no faster than the trajectory.
+    """
+    traj = source.trajectory
+    return source, traj.position if path is None else path, 0.0, traj.turn_rate
+
+
 def _framed(source, ambient, t, params):
-    """(source, path, shift) of ``source`` seen from its free-fall frame matched at t."""
+    """(source, path, shift, turn rate) of ``source`` seen from its free-fall frame matched at t."""
     if params.tau_g == 0.0:  # no look-back: only the lab position at t matters
-        return source, source.trajectory.position, 0.0
-    frame = build_frame(source.trajectory, ambient, t, params.t_max)
-    return source, partial(relative_source_path, frame, source.trajectory), frame.origin(t)
+        return _naive(source)
+    traj = source.trajectory
+    frame = build_frame(traj, ambient, t, params.t_max)
+    path = partial(relative_source_path, frame, traj)
+    return source, path, frame.origin(t), max(traj.turn_rate, frame.turn_rate)
 
 
-def _path_nodes(source, path, shift, t, params):
+def _path_nodes(source, path, shift, turn_rate, t, params):
     """Effective node masses of one source, and the coarse panels they fill.
 
     The node at lag tau sits at path(t - tau) + shift and carries -G M times
     its kernel weight. The naive route passes the lab path and no shift; the
     framed route passes the frame-relative path and the frame origin at t.
     Returns node positions, weights and lags, then per panel its lag edges
-    (P, 2), the length of the polyline through its end points and nodes, and
-    that polyline's longest step.
+    (P, 2), the length of the polyline through its nodes and two end points,
+    and that polyline's longest step. The end points sit halfway between the
+    panel's edges and its outermost nodes, on the panel's own side of any
+    jump in the path.
     """
     if params.tau_g == 0.0:
         no_panels = np.zeros((0, 2)), np.zeros(0), np.zeros(0)
         return path(t)[None, :] + shift, np.array([-G * source.mass]), np.zeros(1), *no_panels
-    nodes = kernel_weights(params, _tau_breakpoints(source.trajectory, t, params))
-    at = path(t - np.concatenate([nodes.taus, nodes.edges]))  # one path call for both
-    at, ends = at[:nodes.taus.size], at[nodes.taus.size:]
-    line = np.concatenate(
-        [ends[:-1, None], at.reshape(nodes.n_segments, -1, 3), ends[1:, None]], axis=1
-    )
+    bps = _tau_breakpoints(source.trajectory, t, params)
+    nodes = kernel_weights(params, bps, turn_rate=turn_rate)
+    lo, hi = nodes.edges[:-1], nodes.edges[1:]
+    inset = 0.25 * (1.0 - _gauss_legendre(params.quadrature.order)[0][-1]) * (hi - lo)
+    k, p = nodes.taus.size, nodes.n_segments
+    at = path(t - np.concatenate([nodes.taus, lo + inset, hi - inset]))  # one path call
+    line = np.concatenate([at[k:k + p, None], at[:k].reshape(p, -1, 3), at[k + p:, None]], axis=1)
     steps = np.linalg.norm(np.diff(line, axis=1), axis=2)
-    edges = np.column_stack([nodes.edges[:-1], nodes.edges[1:]])
+    edges = np.column_stack([lo, hi])
     weights = -G * source.mass * nodes.weights
-    return at + shift, weights, nodes.taus, edges, steps.sum(axis=1), steps.max(axis=1)
+    return at[:k] + shift, weights, nodes.taus, edges, steps.sum(axis=1), steps.max(axis=1)
 
 
 def _adaptive_point(framed, r, t, params):
     """Adaptive-Simpson (potential, field x, y, z) at one point, summed over sources.
 
-    ``framed`` holds (source, path, shift) triples as for _path_nodes. The
-    rule picks its own nodes per integrand, so it cross-checks the node-table
-    route rather than sharing its errors. Each step's new lags go to the
-    path in one call.
+    ``framed`` holds (source, path, shift, turn rate) as for _path_nodes.
+    The rule picks its own nodes per integrand, so it cross-checks the
+    node-table route rather than sharing its errors. Each step's new lags go
+    to the path in one call.
     """
     tau_g = params.tau_g
     eps = params.softening_eps
     total = np.zeros(4)
-    for i, (src, path, shift) in enumerate(framed):
+    for i, (src, path, shift, _) in enumerate(framed):
 
         def f(taus, mass=src.mass, path=path, rel=r - shift, i=i):
             taus = np.asarray(taus, dtype=float)
@@ -430,7 +466,7 @@ def _scene(framed, t, params):
     positions, weights, lags, edges, lengths, gaps = (np.concatenate(p) for p in zip(*parts, empty))
     counts = tuple(len(p[1]) for p in parts)
     sources = np.repeat(np.arange(len(parts)), [len(p[3]) for p in parts])
-    paths = tuple((path, shift, -G * src.mass) for src, path, shift in framed)
+    paths = tuple((path, shift, -G * src.mass) for src, path, shift, _ in framed)
     return PreparedScene(
         positions, weights, lags, counts, edges, lengths, gaps, sources, paths, t, params
     )
@@ -449,13 +485,14 @@ def _split_counts(scene, r):
 
     d_p, the distance from the point to panel p's nearest node less half the
     longest step of the panel's polyline, bounds its distance to that
-    stretch of path from below while the path keeps close to its polyline.
+    stretch of path from below while the path keeps close to its polyline,
+    which the turn-rate limit on panel length (kernel_weights) ensures.
     Gauss-Legendre converges like rho^(-2n), with rho set by the nearest
-    complex singularity of 1/|r - x(t - tau)|, about d_p / speed away in
-    lag. Sub-panels no longer than d_p along the path keep it two
-    half-lengths away, rho >= 2 + sqrt(5) on a straight path; so the panel
-    needs ceil(L_p / d_p) of them, at most MAX_SPLIT, and MAX_SPLIT when
-    d_p <= 0.
+    complex singularity of 1/|r - x(t - tau)|; on such a panel it lies about
+    d_p / speed away in lag. Sub-panels no longer than d_p along the path
+    keep it two half-lengths away, rho >= 2 + sqrt(5) on a straight path;
+    so the panel needs ceil(L_p / d_p) of them, at most MAX_SPLIT, and
+    MAX_SPLIT when d_p <= 0.
     """
     n_panels = scene.panel_lengths.size
     if n_panels == 0:
@@ -468,7 +505,7 @@ def _split_counts(scene, r):
 
 
 def _split_nodes(scene, m):
-    """(panel, its coarse node slice, sub-node positions, sub-node weights) per panel with m_p > 1.
+    """(panel, its coarse node slice, sub-node positions, weights, lags) per panel with m_p > 1.
 
     The sub-nodes come from the framed path the scene already holds, not
     from a new node table.
@@ -478,9 +515,9 @@ def _split_nodes(scene, m):
     for p in np.flatnonzero(m > 1):
         path, shift, coef = scene.paths[scene.panel_sources[p]]
         edges = np.linspace(*scene.panel_edges[p], m[p] + 1)
-        taus, weights = _panel_nodes(edges, scene.params.tau_g, order)
+        taus, weights = (a.ravel() for a in _panel_nodes(edges, scene.params.tau_g, order))
         coarse = slice(p * order, (p + 1) * order)
-        out.append((p, coarse, path(scene.t - taus.ravel()) + shift, coef * weights.ravel()))
+        out.append((p, coarse, path(scene.t - taus) + shift, coef * weights, taus))
     return out
 
 
@@ -513,11 +550,11 @@ def _eval_block(scene, pts):
     splits = _split_nodes(scene, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = scene.weights / r
-        for p, coarse, _, _ in splits:
+        for p, coarse, *_ in splits:
             inv[need[:, p], coarse] = 0.0
         phi = inv.sum(axis=1)
         grad = np.einsum("bk,bkj->bj", inv / r2, d)
-        for p, _, positions, weights in splits:
+        for p, _, positions, weights, _ in splits:
             rows = need[:, p]
             d, r2, r = _distances(pts[rows], positions)
             singular[rows] |= np.any(r <= eps, axis=1)
@@ -529,15 +566,37 @@ def _eval_block(scene, pts):
     return phi, grad, singular, m
 
 
+def _guard_hit(scene, pt, m):
+    """SingularApproach for the node nearest ``pt`` among those _eval_block gave it.
+
+    ``m`` is the block's split. The point traded a panel's coarse nodes for
+    its sub-panel nodes where it needed the split and no coarse node guarded
+    it; those coarse nodes stay candidates, since they all lie outside the
+    guard radius that some evaluated node fell inside.
+    """
+    eps = scene.params.softening_eps
+    r = _distances(pt[None, :], scene.positions)[2]
+    need = (_split_counts(scene, r)[0] > 1) & ~np.any(r <= eps)
+    sources = np.repeat(np.arange(len(scene.n_nodes_per_source)), scene.n_nodes_per_source)
+    candidates = [(scene.positions, scene.lags, sources)] + [
+        (positions, taus, np.full(taus.size, scene.panel_sources[p]))
+        for p, _, positions, _, taus in _split_nodes(scene, m) if need[p]
+    ]
+    positions, lags, sources = (np.concatenate(c) for c in zip(*candidates))
+    k = int(np.argmin(np.linalg.norm(pt - positions, axis=1)))
+    d = float(np.linalg.norm(pt - positions[k]))
+    return _guard_error(d, scene.t - float(lags[k]), eps, int(sources[k]))
+
+
 def _values(framed, pts, t, params):
     """Potential (n,), field (n, 3) and the evaluated table at points.
 
-    ``framed`` holds (source, path, shift) triples as for _path_nodes; one
-    node table per source serves every point, split near the path as
+    ``framed`` holds (source, path, shift, turn rate) as for _path_nodes;
+    one node table per source serves every point, split near the path as
     _eval_block decides. The table is (nodes, panels, split panels) summed
     over sources, all zero without a Gauss-Legendre kernel. A guard hit
-    raises SingularApproach describing the coarse node nearest the first
-    guarded point.
+    raises SingularApproach describing the nearest node the first guarded
+    point was evaluated with, sub-panel nodes included.
     """
     if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
         out = np.array([_adaptive_point(framed, r, t, params) for r in pts]).reshape(-1, 4)
@@ -545,11 +604,7 @@ def _values(framed, pts, t, params):
     scene = _scene(framed, t, params)
     phi, grad, singular, m = _eval_block(scene, pts)
     if singular.any():
-        u = pts[np.argmax(singular)] - scene.positions
-        d = np.sqrt(np.einsum("kj,kj->k", u, u))
-        k = int(np.argmin(d))
-        i = int(np.searchsorted(np.cumsum(scene.n_nodes_per_source), k, side="right"))
-        raise _guard_error(float(d[k]), t - float(scene.lags[k]), params.softening_eps, i)
+        raise _guard_hit(scene, pts[np.argmax(singular)], m)
     panels = int(m.sum())
     return phi, grad, (panels * getattr(params.quadrature, "order", 0), panels, int(np.sum(m > 1)))
 
@@ -568,7 +623,7 @@ def delayed_potential_naive(source, r, t, params, *, path=None):
         path = source.trajectory.position
     if params.tau_g == 0.0:
         return _instantaneous(source.mass, path(t), r, params.softening_eps)[0]
-    return float(_values([(source, path, 0.0)], r[None, :], t, params)[0][0])
+    return float(_values([_naive(source, path)], r[None, :], t, params)[0][0])
 
 
 def _framed_point(source, ambient, r, t, params):

@@ -163,6 +163,17 @@ class FreeFallFrame:
         # edge slack for quadrature nodes landing a rounding error outside
         self._slack = 1e-9 * max(1.0, abs(self.match_time), self.horizon)
 
+    @property
+    def turn_rate(self):
+        """Fastest angular rate of the origin path, in rad/s: h / q^2 at periapsis.
+
+        A parabola frame has none (0); see Trajectory.turn_rate.
+        """
+        if self._g is not None:
+            return 0.0
+        q = self._h2 / (self._mu * (1.0 + self._e))
+        return math.sqrt(self._h2) / (q * q)
+
     def _clamped(self, s):
         s, scalar = _times(s)
         lo = self.match_time - self.horizon

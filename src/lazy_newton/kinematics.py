@@ -54,7 +54,15 @@ def _unwrap(out, scalar):
 
 
 class Trajectory:
-    """Base class for source paths. Subclasses implement the state queries."""
+    """Base class for source paths. Subclasses implement the state queries.
+
+    ``turn_rate`` bounds how fast, in rad/s, the path winds: a circle's
+    angular frequency. Node tables keep each quadrature panel to a bounded
+    angle of it, so nodes spaced wider than a revolution never alias the
+    path. Paths that are polynomials between their breakpoints have none.
+    """
+
+    turn_rate = 0.0
 
     def position(self, s):
         raise NotImplementedError
@@ -181,6 +189,10 @@ class CircularOrbit(Trajectory):
         object.__setattr__(self, "_e1", e1)
         object.__setattr__(self, "_e2", e2)
 
+    @property
+    def turn_rate(self):
+        return abs(self.angular_frequency)
+
     def _angles(self, s):
         s, scalar = _times(s)
         return self.angular_frequency * s + self.phase, scalar
@@ -283,6 +295,15 @@ class Sampled(Trajectory):
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_d1", spline.derivative(1))
         object.__setattr__(self, "_d2", spline.derivative(2))
+
+    @property
+    def turn_rate(self):
+        """Largest turn between consecutive sample chords per sample spacing."""
+        chords = np.diff(self.positions, axis=0)
+        cross = np.linalg.norm(np.cross(chords[:-1], chords[1:]), axis=1)
+        turn = np.arctan2(cross, np.einsum("ij,ij->i", chords[:-1], chords[1:]))
+        spacing = 0.5 * (self.times[2:] - self.times[:-2])
+        return float(np.max(turn / spacing))
 
     def _eval(self, fn, s, below, above):
         s, scalar = _times(s)

@@ -23,6 +23,7 @@ from .evaluator import (
     Source,
     _adaptive_integral,
     _framed,
+    _naive,
     _values,
 )
 from .frames import UniformField, ZeroField
@@ -235,7 +236,7 @@ def _potentials(source, ambient, points, t, params, tables):
     ``ambient`` None evaluates the naive form along the lab trajectory.
     """
     if ambient is None:
-        framed = (source, source.trajectory.position, 0.0)
+        framed = _naive(source)
     else:
         framed = _framed(source, ambient, t, params)
     phi, _, table = _values([framed], np.atleast_2d(points), t, params)

@@ -17,6 +17,7 @@ from lazy_newton.evaluator import (
     KernelParams,
     Source,
     _adaptive_integral,
+    _gauss_legendre,
     _panel_nodes,
     delayed_field,
     delayed_potential,
@@ -79,6 +80,15 @@ class TestKernelWeights:
         # iterates as (tau, weight) pairs
         tau0, w0 = next(iter(nodes))
         assert tau0 == nodes.taus[0] and w0 == nodes.weights[0]
+
+    def test_winding_path_gets_shorter_panels(self):
+        params = KernelParams(1e-3)
+        # at most MAX_TURN = 4 radians per panel, down to 5 tau_g / 100
+        assert kernel_weights(params, turn_rate=0.8 / 1e-3).n_segments == 8
+        nodes = kernel_weights(params, turn_rate=10.0 / 1e-3)
+        assert nodes.n_segments == 100
+        assert nodes.weights.sum() == -math.expm1(-40.0)
+        assert kernel_weights(params, turn_rate=1e9).n_segments == 800
 
     def test_breakpoints_split_segments(self):
         params = KernelParams(1e-3)
@@ -155,6 +165,14 @@ def decimal_panel_integrals(order, edges, digits=50):
 
 
 class TestPolishedRule:
+    @pytest.mark.parametrize("order", [2, 8, 32, 64, 128])
+    def test_rule_is_the_exact_rule_rounded(self, order):
+        # every node and weight is the 50-digit value rounded once, on any platform
+        nodes, weights = _gauss_legendre(order)
+        exact = sorted(decimal_rule(order))
+        np.testing.assert_array_equal(nodes, [float(x) for x, _ in exact])
+        np.testing.assert_array_equal(weights, [float(w) for _, w in exact])
+
     @pytest.mark.parametrize("order", [2, 8, 32, 64, 128])
     @pytest.mark.parametrize("panel", [0.5, 5.0, 20.0])
     def test_panel_sums_match_the_exact_rule(self, order, panel):
@@ -307,6 +325,20 @@ class TestNaivePotential:
         assert exc.value.distance == 0.0
         assert exc.value.when is not None and exc.value.when < 0.0
 
+    def test_guard_hit_names_the_sub_panel_node(self):
+        # the point sits on the path midway between two central nodes of the
+        # first 5 s panel, 0.12 m from each; only the sub-panels the split
+        # gives it reach inside the 0.05 m guard
+        src = Source(1.0, UniformVelocity((0, 0, 0), (1.0, 0, 0)))
+        params = KernelParams(1.0, softening_eps=0.05)
+        r = np.array([-2.5, 0.0, 0.0])
+        assert np.min(np.abs(kernel_weights(params).taus - 2.5)) > 0.1
+        with pytest.raises(SingularApproach) as exc:
+            delayed_potential_naive(src, r, 0.0, params)
+        assert exc.value.distance <= 0.05
+        assert abs(exc.value.when + 2.5) <= 0.05
+        assert exc.value.source_index == 0
+
     def test_softening_is_a_guard_not_a_smoother(self):
         src = Source(1.0, Static((0, 0, 0)))
         params = KernelParams(1e-3, softening_eps=0.5)
@@ -385,6 +417,45 @@ class TestNearPath:
         # the closest approach comes back once per period
         period = 2.0 * math.pi / (omega * self.TAU_G)
         self.check(traj, omega, list(np.arange(lag % period, 40.0, period)), lag, s, seed)
+
+
+class TestFastOrbitFarField:
+    """Orbits that turn many radians per 5 tau_g panel, seen from 2 to 200 radii.
+
+    No field point is near the path, so nothing splits for geometry; the
+    table must still not alias the orbit (Trajectory.turn_rate).
+    """
+
+    TAU_G = 1e-3
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        log_omega_tau=st.floats(math.log10(3.0), math.log10(30.0)),
+        log_distance=st.floats(math.log10(3.0), math.log10(201.0)),
+        sin_elevation=st.floats(-1.0, 1.0),
+        azimuth=st.floats(0.0, 2.0 * math.pi),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_matches_quad(self, log_omega_tau, log_distance, sin_elevation, azimuth, phase):
+        omega_tau = 10.0**log_omega_tau
+        traj = CircularOrbit((0.0, 0.0, 0.0), 1.0, omega_tau / self.TAU_G, phase=phase)
+        cos_elevation = math.sqrt(1.0 - sin_elevation**2)
+        r = 10.0**log_distance * np.array(
+            [cos_elevation * math.cos(azimuth), cos_elevation * math.sin(azimuth), sin_elevation]
+        )
+        # the unit-radius orbit keeps r at least 2 radii off the path
+
+        def f(u):
+            return math.exp(-u) / math.dist(r, traj.position(-u * self.TAU_G))
+
+        # quad on pieces of at most 2 radians of orbit
+        cuts = np.append(np.arange(0.0, 40.0, min(5.0, 2.0 / omega_tau)), 40.0)
+        parts = [quad(f, a, b, epsabs=0.0, epsrel=1e-13) for a, b in zip(cuts[:-1], cuts[1:])]
+        total = math.fsum(v for v, _ in parts)
+        assert sum(e for _, e in parts) < 1e-12 * total
+        ref = -G * total
+        phi = delayed_potential_naive(Source(1.0, traj), r, 0.0, KernelParams(self.TAU_G))
+        assert abs(phi - ref) <= 1e-10 * abs(ref)
 
 
 class TestFramedPotential:

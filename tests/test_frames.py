@@ -226,6 +226,20 @@ def test_frame_flyby_periapsis_between_samples_raises():
     build_frame(UniformVelocity(pos, vel), field, 0.0, 0.5)
 
 
+def test_frame_turn_rate_is_the_periapsis_angular_rate():
+    orbit, field = kepler_circular(1.5, 7.0)
+    assert build_frame(orbit, UniformField((0.0, 0.0, -9.81)), 0.0, 1.0).turn_rate == 0.0
+    assert build_frame(orbit, field, 0.0, 1.0).turn_rate == pytest.approx(7.0, rel=1e-12)
+    # an eccentric ellipse: the fastest angular rate over a sampled period
+    mu = G * field.mass
+    source = UniformVelocity((1.5, 0.0, 0.0), (0.0, 1.3 * math.sqrt(mu / 1.5), 0.0))
+    frame = build_frame(source, field, 0.0, 10.0)
+    s = np.linspace(-10.0, 0.0, 200001)
+    rel, vel = frame.origin(s), frame.origin_velocity(s)
+    rates = np.linalg.norm(np.cross(rel, vel), axis=1) / np.einsum("ij,ij->i", rel, rel)
+    assert frame.turn_rate == pytest.approx(rates.max(), rel=1e-6)
+
+
 def test_build_frame_rejects_unsupported_ambient():
     class Harmonic(AmbientField):
         def accel(self, x):

@@ -14,6 +14,19 @@ from lazy_newton.kinematics import (
 )
 
 
+def test_turn_rates():
+    # paths that are polynomials between breakpoints never wind
+    assert Static((1.0, 0.0, 0.0)).turn_rate == 0.0
+    assert UniformVelocity((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)).turn_rate == 0.0
+    assert UniformAcceleration((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, -9.81)).turn_rate == 0.0
+    assert PiecewiseStatic(((0.0, (0, 0, 0)), (1.0, (1, 0, 0)))).turn_rate == 0.0
+    assert CircularOrbit((0.0, 0.0, 0.0), 2.0, -3.0).turn_rate == 3.0
+    # samples of a circle turn at its angular frequency
+    t = np.linspace(0.0, 4.0, 401)
+    circle = np.stack([np.cos(2.0 * t), np.sin(2.0 * t), np.zeros_like(t)], axis=1)
+    assert Sampled(t, circle).turn_rate == pytest.approx(2.0, rel=1e-3)
+
+
 def central_diff(fn, s, h=1e-5):
     return (np.asarray(fn(s + h)) - np.asarray(fn(s - h))) / (2.0 * h)
 

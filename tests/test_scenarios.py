@@ -289,6 +289,13 @@ class TestDiagnostics:
         assert report.diagnostics["split_panels"] == 0
         assert report.diagnostics["kernel_nodes"] == len(kernel_weights(KernelParams(1e-3)))
 
+    def test_probe_near_the_old_rest_position_splits_no_panel(self):
+        # both sides of the jump are static: no panel holds a path for the
+        # probe, 3 mm from the old position, to come close to
+        report = jump_scenario((0, 0, 0.01), 1e-3, 1.0, (0.003, 0, 0), [0.7e-3])
+        assert report.diagnostics["split_panels"] == 0
+        assert report.diagnostics["kernel_segments"] == 9
+
     def test_naive_boost_splits_panels_near_the_path(self):
         # |v| tau_g = |r|: the lab past path passes 1 m from the probe along
         # a 5 m first panel
