@@ -466,17 +466,15 @@ def _cmd_scenario(args):
 
 
 def _format_rows_csv(rows):
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    """CSV text of rows, lists of Python floats in CSV_HEADER order."""
+    return "\n".join([CSV_HEADER, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _format_rows_json(rows):
     payload = {
         "schema_version": 1,
         "columns": CSV_HEADER.split(","),
-        "rows": [[None if math.isnan(v) else float(v) for v in row] for row in rows],
+        "rows": [[None if math.isnan(v) else v for v in row] for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -506,11 +504,8 @@ def _cmd_field(args):
             scene.sources, scene.ambient, points, t, scene.params, threads
         )
         singular_rows += int(singular.sum())
-        for i in range(points.shape[0]):
-            rows.append(
-                (t, points[i, 0], points[i, 1], points[i, 2],
-                 phi[i], grad[i, 0], grad[i, 1], grad[i, 2])
-            )
+        n = points.shape[0]
+        rows += np.column_stack([np.full(n, t), points, phi, grad]).tolist()
     text = _format_rows_csv(rows) if args.format == "csv" else _format_rows_json(rows)
     _emit(text, args.out)
     if singular_rows:

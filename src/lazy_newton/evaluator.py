@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 CHUNK = 512  # grid points per evaluation block; fixed so thread count never changes results
+TILE = 16  # rows of a block summed together; with 512 nodes a (rows, K) array is 64 KiB
 MAX_SPLIT = 100  # most equal sub-panels one coarse panel splits into near the past path
 MAX_TURN = 4.0  # radians of a winding path (Trajectory.turn_rate) one panel may span
 # integrand evaluations one adaptive integral may spend; the test suite's
@@ -440,13 +441,14 @@ class PreparedScene:
     weight times -G M, contributes linearly to potential and field. A whole
     scene then evaluates as a plain N-body sum over these nodes.
 
-    The nodes are the coarse tables, one per source. Each coarse panel keeps
-    what a block of points needs to split it near the past path: its lag
-    edges, polyline length and longest polyline step, and which source's
-    (path, shift, -G M) it samples.
+    The nodes are the coarse tables, one per source, their coordinates held
+    as (3, K) rows for the block sum. Each coarse panel keeps what a block of
+    points needs to split it near the past path: its lag edges, polyline
+    length and longest polyline step, and which source's (path, shift, -G M)
+    it samples.
     """
 
-    positions: np.ndarray  # (K, 3)
+    coords: np.ndarray  # (3, K), node x, y and z, each contiguous
     weights: np.ndarray  # (K,), include the -G*M factor
     lags: np.ndarray  # (K,), kernel lag tau of each node
     n_nodes_per_source: tuple
@@ -458,6 +460,11 @@ class PreparedScene:
     t: float
     params: KernelParams
 
+    @property
+    def positions(self):
+        """Node positions (K, 3), a view of coords."""
+        return self.coords.T
+
 
 def _scene(framed, t, params):
     parts = [_path_nodes(*f, t, params) for f in framed]
@@ -467,8 +474,9 @@ def _scene(framed, t, params):
     counts = tuple(len(p[1]) for p in parts)
     sources = np.repeat(np.arange(len(parts)), [len(p[3]) for p in parts])
     paths = tuple((path, shift, -G * src.mass) for src, path, shift, _ in framed)
+    coords = np.ascontiguousarray(positions.T)
     return PreparedScene(
-        positions, weights, lags, counts, edges, lengths, gaps, sources, paths, t, params
+        coords, weights, lags, counts, edges, lengths, gaps, sources, paths, t, params
     )
 
 
@@ -505,7 +513,7 @@ def _split_counts(scene, r):
 
 
 def _split_nodes(scene, m):
-    """(panel, its coarse node slice, sub-node positions, weights, lags) per panel with m_p > 1.
+    """(panel, sub-node coords (3, k), weights, lags) per panel with m_p > 1.
 
     The sub-nodes come from the framed path the scene already holds, not
     from a new node table.
@@ -516,51 +524,79 @@ def _split_nodes(scene, m):
         path, shift, coef = scene.paths[scene.panel_sources[p]]
         edges = np.linspace(*scene.panel_edges[p], m[p] + 1)
         taus, weights = (a.ravel() for a in _panel_nodes(edges, scene.params.tau_g, order))
-        coarse = slice(p * order, (p + 1) * order)
-        out.append((p, coarse, path(scene.t - taus) + shift, coef * weights, taus))
+        coords = np.ascontiguousarray((path(scene.t - taus) + shift).T)
+        out.append((p, coords, coef * weights, taus))
     return out
 
 
-def _distances(pts, positions):
-    d = pts[:, None, :] - positions[None, :, :]  # (b, K, 3)
-    r2 = np.einsum("bkj,bkj->bk", d, d)
+def _tile(pts, coords):
+    """Differences d (3, rows, K), r^2 and r (rows, K) of a tile of points to nodes held as (3, K).
+
+    Split coordinates keep each of x, y and z contiguous along the nodes, so
+    every reduction of a tile runs along one row, pairwise and in cache.
+    """
+    d = pts.T[:, :, None] - coords[:, None, :]
+    r2 = np.square(d).sum(axis=0)
     return d, r2, np.sqrt(r2)
+
+
+def _tile_sums(inv, r2, d):
+    """Potential (rows,) and field (rows, 3) of a tile from its terms inv = weight / r.
+
+    Each is a pairwise sum along a row. Overwrites r2 and d.
+    """
+    f = np.divide(inv, r2, out=r2)
+    return inv.sum(axis=1), np.multiply(d, f, out=d).sum(axis=2).T
 
 
 def _eval_block(scene, pts):
     """Potential, field, guard mask and per-panel split counts of a prepared scene on one block.
 
-    The distances to the coarse nodes serve both the split decision and the
-    sum. A panel splits into the most sub-panels any point of the block
-    needs (guarded points aside), and only the points that need a split
-    trade the panel's coarse nodes for its sub-panel nodes; the others keep
-    the coarse panel, which has converged for them. Each point reduces along
-    its own contiguous rows, so results are bitwise reproducible for any
-    thread count. The potential uses numpy's pairwise sum, whose rounding
-    grows with log K, not K: shift fits amplify ulp noise by the
-    probe-distance / displacement ratio.
+    The block runs in tiles of TILE rows whose (rows, K) arrays stay in
+    cache: each tile's distances to the coarse nodes give its guard mask,
+    its split decision and its sums. A panel splits into the most
+    sub-panels any point of the block needs (guarded points aside), and only
+    the points that need a split trade the panel's coarse nodes for its
+    sub-panel nodes; the others keep the coarse panel, which has converged
+    for them. Each point reduces along its own row, so results are bitwise
+    reproducible for any thread count and any tiling. The sums are numpy's
+    pairwise sums, whose rounding grows with log K, not K: shift fits
+    amplify ulp noise by the probe-distance / displacement ratio.
     """
     eps = scene.params.softening_eps
-    d, r2, r = _distances(pts, scene.positions)
-    singular = np.any(r <= eps, axis=1)
-    counts = _split_counts(scene, r)
-    counts[singular] = 1
-    need = counts > 1
-    m = counts.max(axis=0, initial=1)
-    splits = _split_nodes(scene, m)
+    n = pts.shape[0]
+    phi, grad = np.empty(n), np.empty((n, 3))
+    singular = np.empty(n, dtype=bool)
+    counts = np.ones((n, scene.panel_lengths.size), dtype=int)
+    # a point farther than this from every node splits no panel (_split_counts);
+    # the slack covers rounding, and the closer points get the exact test
+    reach = np.max(scene.panel_lengths + 0.5 * scene.panel_gaps, initial=0.0) * (1.0 + 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = scene.weights / r
-        for p, coarse, *_ in splits:
-            inv[need[:, p], coarse] = 0.0
-        phi = inv.sum(axis=1)
-        grad = np.einsum("bk,bkj->bj", inv / r2, d)
-        for p, _, positions, weights, _ in splits:
-            rows = need[:, p]
-            d, r2, r = _distances(pts[rows], positions)
-            singular[rows] |= np.any(r <= eps, axis=1)
-            inv = weights / r
-            phi[rows] += inv.sum(axis=1)
-            grad[rows] += np.einsum("bk,bkj->bj", inv / r2, d)
+        for lo in range(0, n, TILE):
+            rows = slice(lo, lo + TILE)
+            d, r2, r = _tile(pts[rows], scene.coords)
+            nearest = r.min(axis=1, initial=math.inf)
+            singular[rows] = hit = nearest <= eps
+            inv = scene.weights / r
+            close = ~(nearest >= reach) & ~hit
+            if close.any():
+                tile = counts[rows]
+                tile[close] = _split_counts(scene, r[close])
+                need = tile > 1
+                order = scene.params.quadrature.order
+                for p in np.flatnonzero(need.any(axis=0)):
+                    inv[need[:, p], p * order:(p + 1) * order] = 0.0
+            phi[rows], grad[rows] = _tile_sums(inv, r2, d)
+        m = counts.max(axis=0, initial=1)
+        for p, coords, weights, _ in _split_nodes(scene, m):
+            need = np.flatnonzero(counts[:, p] > 1)
+            for lo in range(0, need.size, TILE):
+                rows = need[lo:lo + TILE]
+                d, r2, r = _tile(pts[rows], coords)
+                singular[rows] |= r.min(axis=1) <= eps
+                tile_phi, tile_grad = _tile_sums(weights / r, r2, d)
+                phi[rows] += tile_phi
+                grad[rows] += tile_grad
     phi[singular] = np.nan
     grad[singular] = np.nan
     return phi, grad, singular, m
@@ -575,17 +611,17 @@ def _guard_hit(scene, pt, m):
     guard radius that some evaluated node fell inside.
     """
     eps = scene.params.softening_eps
-    r = _distances(pt[None, :], scene.positions)[2]
+    r = _tile(pt[None, :], scene.coords)[2]
     need = (_split_counts(scene, r)[0] > 1) & ~np.any(r <= eps)
     sources = np.repeat(np.arange(len(scene.n_nodes_per_source)), scene.n_nodes_per_source)
-    candidates = [(scene.positions, scene.lags, sources)] + [
-        (positions, taus, np.full(taus.size, scene.panel_sources[p]))
-        for p, _, positions, _, taus in _split_nodes(scene, m) if need[p]
+    candidates = [(scene.coords, scene.lags, sources)] + [
+        (coords, taus, np.full(taus.size, scene.panel_sources[p]))
+        for p, coords, _, taus in _split_nodes(scene, m) if need[p]
     ]
-    positions, lags, sources = (np.concatenate(c) for c in zip(*candidates))
-    k = int(np.argmin(np.linalg.norm(pt - positions, axis=1)))
-    d = float(np.linalg.norm(pt - positions[k]))
-    return _guard_error(d, scene.t - float(lags[k]), eps, int(sources[k]))
+    coords, lags, sources = (np.concatenate(c, axis=-1) for c in zip(*candidates))
+    r = _tile(pt[None, :], coords)[2][0]
+    k = int(np.argmin(r))
+    return _guard_error(float(r[k]), scene.t - float(lags[k]), eps, int(sources[k]))
 
 
 def _values(framed, pts, t, params):

@@ -12,6 +12,7 @@ safe to share across threads.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ __all__ = [
 # (C, S) = sum (-z)^k / ((2k+2)!, (2k+3)!), used for |z| < 1 where the closed
 # forms cancel. Ten terms leave a truncation error below 1e-18.
 _SERIES = np.array([[(-1.0) ** k / math.factorial(2 * k + 2), (-1.0) ** k / math.factorial(2 * k + 3)]
-                    for k in range(9, -1, -1)])
+                    for k in range(9, -1, -1)])[:, :, None]  # (10, 2, 1), broadcast over z
 # Laguerre-Conway meets this step tolerance in at most 6 iterations on conics
 # up to twice the escape speed; 1e-15 would sit below the roundoff floor.
 _KEPLER_TOL = 1e-13
@@ -42,20 +43,27 @@ _KEPLER_ITERATIONS = 50
 
 
 def _stumpff(z):
-    """Stumpff functions C(z) and S(z) of a float array z."""
+    """Stumpff functions C(z) and S(z) of a float array z; each branch runs only if used."""
     c, s = np.empty_like(z), np.empty_like(z)
     near, ell = np.abs(z) < 1.0, z >= 1.0
     hyp = ~(near | ell)
-    cs = np.zeros((2, np.count_nonzero(near)))
-    for coef in _SERIES:  # Horner, highest power first
-        cs = cs * z[near] + coef[:, None]
-    c[near], s[near] = cs
-    x = np.sqrt(z[ell])
-    c[ell] = 2.0 * np.sin(0.5 * x) ** 2 / z[ell]  # 1 - cos x without cancellation
-    s[ell] = (x - np.sin(x)) / x**3
-    x = np.sqrt(-z[hyp])
-    c[hyp] = 2.0 * np.sinh(0.5 * x) ** 2 / -z[hyp]
-    s[hyp] = (np.sinh(x) - x) / x**3
+    if near.any():
+        zn = z[near]
+        cs = np.zeros((2, zn.size))
+        for coef in _SERIES:  # Horner, highest power first
+            cs *= zn
+            cs += coef
+        c[near], s[near] = cs
+    if ell.any():
+        zp = z[ell]
+        x = np.sqrt(zp)
+        c[ell] = 2.0 * np.sin(0.5 * x) ** 2 / zp  # 1 - cos x without cancellation
+        s[ell] = (x - np.sin(x)) / x**3
+    if hyp.any():
+        zm = -z[hyp]
+        x = np.sqrt(zm)
+        c[hyp] = 2.0 * np.sinh(0.5 * x) ** 2 / zm
+        s[hyp] = (np.sinh(x) - x) / x**3
     return c, s
 
 
@@ -165,14 +173,16 @@ class FreeFallFrame:
 
     @property
     def turn_rate(self):
-        """Fastest angular rate of the origin path, in rad/s: h / q^2 at periapsis.
+        """Fastest angular rate of the origin path over the window, in rad/s.
 
+        That is h / r^2 at the closest approach to the mass inside the
+        window: the periapsis if one falls there, else the nearer window end.
         A parabola frame has none (0); see Trajectory.turn_rate.
         """
         if self._g is not None:
             return 0.0
-        q = self._h2 / (self._mu * (1.0 + self._e))
-        return math.sqrt(self._h2) / (q * q)
+        r = self._closest_approach[0]
+        return math.sqrt(self._h2) / (r * r)
 
     def _clamped(self, s):
         s, scalar = _times(s)
@@ -246,6 +256,7 @@ class FreeFallFrame:
             return rel + self.field.position
         return (-self._mu / r**3)[:, None] * rel
 
+    @cached_property
     def _closest_approach(self):
         """Smallest distance to the mass over the window, and when it occurs."""
         # universal anomaly of the periapsis nearest the match time, then the
@@ -303,7 +314,7 @@ def build_frame(traj, field, t, horizon):
     distance, when = float(np.linalg.norm(p_t - field.position)), t
     if distance > field.softening:
         frame = FreeFallFrame(t, horizon, field, p_t, v_t)
-        distance, when = frame._closest_approach()
+        distance, when = frame._closest_approach
     if distance <= field.softening:
         raise SingularApproach(f"free-fall path came within {distance:.3e} m of the external "
                                f"mass near s = {when:.6g} s", distance=distance, when=when)

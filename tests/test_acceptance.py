@@ -20,10 +20,13 @@ from lazy_newton.evaluator import (
     GaussLegendre,
     KernelParams,
     Source,
+    _eval_block,
+    _split_nodes,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
     kernel_weights,
+    prepare_scene,
 )
 from lazy_newton.frames import PointMassField, UniformField, ZeroField, build_frame
 from lazy_newton.kinematics import (
@@ -375,3 +378,46 @@ def test_node_sum_matches_exactly_rounded_reference(tau_g):
         ref = fsum_reference(src, amb, r, t, params)
         # pairwise sums stay under 2 eps here; a plain running sum reaches 7.4 eps
         assert abs(phi - ref) <= 4.0 * np.finfo(float).eps * abs(ref)
+
+
+def field_sum_error(scene, pts):
+    """Largest |grad - fsum(terms)| of _eval_block over points and components, in eps * sum|terms|.
+
+    The terms w (r - x) / |r - x|^3 are formed here one node at a time, over
+    the nodes _eval_block evaluates: the coarse table, with a lone point's
+    split panels traded for their sub-panel nodes. A block of several points
+    must split no panel, so that all of its points share the coarse table.
+    """
+    _, grad, singular, m = _eval_block(scene, pts)
+    assert not singular.any() and (len(pts) == 1 or (m == 1).all())
+    splits = _split_nodes(scene, m)
+    keep = np.repeat(m == 1, scene.params.quadrature.order)
+    positions = np.concatenate([scene.positions[keep]] + [c.T for _, c, _, _ in splits])
+    weights = np.concatenate([scene.weights[keep]] + [w for _, _, w, _ in splits])
+    worst = 0.0
+    for p, g in zip(pts, grad):
+        d = p - positions
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        terms = weights[:, None] * d / (r * r * r)[:, None]
+        for j in range(3):
+            scale = math.fsum(np.abs(terms[:, j]))
+            if scale > 0.0:
+                worst = max(worst, abs(g[j] - math.fsum(terms[:, j])) / (np.finfo(float).eps * scale))
+    return worst
+
+
+@pytest.mark.parametrize("tau_g", [2.55e-4, 1e-3, 1e-2])
+def test_block_field_matches_exactly_rounded_reference(tau_g):
+    params = KernelParams(tau_g)
+    for src, amb, r, t in scenario_scenes():
+        scene = prepare_scene([src], amb, t, params)
+        assert field_sum_error(scene, r[None, :]) <= 16.0
+
+
+def test_criterion_8_field_matches_exactly_rounded_reference():
+    sources = [Source(2.0, Static((0, 0, 0))), Source(1.0, CircularOrbit((0, 0, 0), 1.0, 10.0))]
+    xs = np.linspace(-1.0, 1.0, 21)
+    pts = np.column_stack([np.repeat(xs, 21), np.tile(xs, 21), np.full(21 * 21, 2.0)])
+    for t in np.linspace(0.0, 2e-3, 10):  # the criterion-8 map's times
+        scene = prepare_scene(sources, UniformField((0, 0, -9.81)), t, KernelParams(1e-3))
+        assert field_sum_error(scene, pts) <= 16.0

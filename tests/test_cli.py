@@ -7,7 +7,7 @@ import pytest
 
 from lazy_newton.cli import _build_parser, main, parse_grid_spec, parse_scene_config
 from lazy_newton.errors import ConfigError
-from lazy_newton.evaluator import AdaptiveSimpson, GaussLegendre
+from lazy_newton.evaluator import AdaptiveSimpson, GaussLegendre, scene_potential_field
 
 
 def scene_doc():
@@ -314,6 +314,39 @@ class TestFieldCommand:
         capsys.readouterr()
         doc = json.loads(out.read_text())
         assert doc["rows"][0][4] is None
+
+    def test_formats_match_per_value_formatting(self, tmp_path, monkeypatch, capsys):
+        # the formatter a map used to go through: one tuple of numpy scalars
+        # per row, each value converted on its own
+        def reference(scene, grid, fmt):
+            cfg, spec = parse_scene_config(scene), parse_grid_spec(grid)
+            points = spec.points()
+            rows = []
+            for t in spec.times:
+                phi, g, _ = scene_potential_field(cfg.sources, cfg.ambient, points, t, cfg.params)
+                rows += [(t, *points[i], phi[i], *g[i]) for i in range(points.shape[0])]
+            if fmt == "csv":
+                lines = ["t,x,y,z,phi,gx,gy,gz"] + [",".join(repr(float(v)) for v in r) for r in rows]
+                return "\n".join(lines) + "\n"
+            cells = [[None if math.isnan(v) else float(v) for v in r] for r in rows]
+            doc = {"schema_version": 1, "columns": "t,x,y,z,phi,gx,gy,gz".split(","), "rows": cells}
+            return json.dumps(doc, indent=2) + "\n"
+
+        grid = {
+            "origin": [-1.0, 0.0, 0.0],
+            "axes": [
+                {"direction": [1, 0, 0], "extent_m": 2.0, "count": 3},
+                {"direction": [0, 0, 1], "extent_m": 1.0, "count": 3},
+            ],
+            "times": [1e-4, 3e-4],
+        }
+        for fmt in ("csv", "json"):
+            code, out = self.run_field(
+                tmp_path, monkeypatch, fmt=fmt, scene=self.singular_scene(), grid=grid
+            )
+            assert code == 1  # the grid point on the source is a nan row at each time
+            assert out.read_bytes() == reference(self.singular_scene(), grid, fmt).encode()
+        assert "2 of 18 rows" in capsys.readouterr().err
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = write_json(tmp_path / "scene.json", scene_doc())

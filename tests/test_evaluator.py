@@ -15,10 +15,15 @@ from lazy_newton.evaluator import (
     AdaptiveSimpson,
     GaussLegendre,
     KernelParams,
+    CHUNK,
+    TILE,
     Source,
     _adaptive_integral,
+    _eval_block,
     _gauss_legendre,
     _panel_nodes,
+    _split_counts,
+    _tile,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
@@ -659,6 +664,52 @@ class TestSceneEvaluation:
         phi5, grad5, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=5)
         assert phi1.tobytes() == phi5.tobytes()
         assert grad1.tobytes() == grad5.tobytes()
+
+    def test_thread_count_does_not_change_bytes_of_a_split_map(self):
+        # a map on the plane of a fast orbit: rows near its past path fall in
+        # three of the four blocks and in many row tiles, and split panels
+        sources = [
+            Source(1.0, CircularOrbit((0, 0, 0), 1.0, 100.0)),
+            Source(2.0, Static((0, 0, 0.5))),
+        ]
+        amb = UniformField((0, 0, -9.81))
+        params = KernelParams(1e-3)
+        xs = np.linspace(-2.49, 2.51, 41)
+        pts = np.column_stack([np.repeat(xs, 41), np.tile(xs, 41), np.zeros(41 * 41)])
+        scene = prepare_scene(sources, amb, 0.0, params)
+        split_panels, split_blocks, split_tiles = 0, set(), set()
+        for lo in range(0, len(pts), CHUNK):
+            block = pts[lo:lo + CHUNK]
+            _, _, singular, m = _eval_block(scene, block)
+            # the block's split is the largest need of any point, skipped rows included
+            counts = _split_counts(scene, _tile(block, scene.coords)[2])
+            assert not singular.any()
+            np.testing.assert_array_equal(m, counts.max(axis=0))
+            split_panels += int(np.sum(m > 1))
+            for row in np.flatnonzero(np.any(counts > 1, axis=1)):
+                split_blocks.add(lo)
+                split_tiles.add((lo, row // TILE))
+        assert split_panels > 0
+        assert len(split_blocks) >= 3 and len(split_tiles) >= 6
+        phi1, grad1, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
+        phi4, grad4, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=4)
+        assert phi1.tobytes() == phi4.tobytes()
+        assert grad1.tobytes() == grad4.tobytes()
+
+    def test_block_rows_equal_single_point_rows(self):
+        # each row reduces alone, so neither the block nor its tiling moves a bit
+        sources, amb = self.scene()
+        params = KernelParams(1e-3)
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-2, 2, (2 * TILE + 5, 3)) + np.array([0.0, 0.0, 3.0])
+        pts[7] = [1.0, 0.002, 0.0]  # near the orbit, where the coarse table splits
+        scene = prepare_scene(sources, amb, 0.0, params)
+        phi, grad, _, m = _eval_block(scene, pts)
+        assert np.any(m > 1)
+        for k, r in enumerate(pts):
+            phi1, grad1, _, _ = _eval_block(scene, r[None, :])
+            assert phi1.tobytes() == phi[k:k + 1].tobytes()
+            assert grad1.tobytes() == grad[k:k + 1].tobytes()
 
     def test_adaptive_scheme_scene_agrees(self):
         sources, amb = self.scene()

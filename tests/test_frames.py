@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from lazy_newton import frames
 from lazy_newton.constants import G
 from lazy_newton.errors import SingularApproach
+from lazy_newton.evaluator import KernelParams, Source, _framed, _values
 from lazy_newton.frames import (
     AmbientField,
     PointMassField,
@@ -205,18 +206,24 @@ def test_frame_path_hitting_mass_raises():
     assert exc.value.when is not None
 
 
-def test_frame_flyby_periapsis_between_samples_raises():
-    # hyperbolic flyby whose periapsis (q = 5e-4 m, 1 s before t = 0) lies
-    # inside the 1e-3 m guard; sampling the path at any fixed step misses it
-    mass, q, ecc = 1.0e10, 5e-4, 2.0
+def flyby_state(mass, q, ecc, since):
+    """Position and velocity at t = 0 on a hyperbola about the origin, ``since`` s after periapsis q."""
     mu = G * mass
     a = q / (1.0 - ecc)  # negative semi-major axis
     n = math.sqrt(mu / -a**3)
-    big_h = brentq(lambda x: ecc * math.sinh(x) - x - n * 1.0, 0.0, 50.0)
+    big_h = brentq(lambda x: ecc * math.sinh(x) - x - n * since, 0.0, 50.0)
     h_dot = n / (ecc * math.cosh(big_h) - 1.0)
     b = -a * math.sqrt(ecc * ecc - 1.0)
     pos = (a * (math.cosh(big_h) - ecc), b * math.sinh(big_h), 0.0)
     vel = (a * math.sinh(big_h) * h_dot, b * math.cosh(big_h) * h_dot, 0.0)
+    return pos, vel
+
+
+def test_frame_flyby_periapsis_between_samples_raises():
+    # hyperbolic flyby whose periapsis (q = 5e-4 m, 1 s before t = 0) lies
+    # inside the 1e-3 m guard; sampling the path at any fixed step misses it
+    mass, q = 1.0e10, 5e-4
+    pos, vel = flyby_state(mass, q, 2.0, 1.0)
     field = PointMassField((0.0, 0.0, 0.0), mass, softening=1e-3)
     with pytest.raises(SingularApproach) as exc:
         build_frame(UniformVelocity(pos, vel), field, 0.0, 4.0)
@@ -238,6 +245,61 @@ def test_frame_turn_rate_is_the_periapsis_angular_rate():
     rel, vel = frame.origin(s), frame.origin_velocity(s)
     rates = np.linalg.norm(np.cross(rel, vel), axis=1) / np.einsum("ij,ij->i", rel, rel)
     assert frame.turn_rate == pytest.approx(rates.max(), rel=1e-6)
+
+
+def test_flyby_turn_rate_and_panels_come_from_the_window():
+    # the same flyby, periapsis 1 s back, seen through a 0.5 s window: the
+    # path turns fastest at the window's start, not at the periapsis
+    mass = 1.0e10
+    path = UniformVelocity(*flyby_state(mass, 5e-4, 2.0, 1.0))
+    field = PointMassField((0.0, 0.0, 0.0), mass)
+    params = KernelParams(0.5 / 40.0)  # t_max = 0.5 s
+    frame = build_frame(path, field, 0.0, params.t_max)
+    s = np.linspace(-params.t_max, 0.0, 20001)
+    rel, vel = frame.origin(s), frame.origin_velocity(s)
+    rates = np.linalg.norm(np.cross(rel, vel), axis=1) / np.einsum("ij,ij->i", rel, rel)
+    assert frame.turn_rate == pytest.approx(rates.max(), rel=1e-9)
+    assert rates.argmax() == 0
+    far = np.array([[0.0, 0.0, 100.0]])
+    framed = [_framed(Source(1.0, path), field, 0.0, params)]
+    _, _, (nodes, panels, split) = _values(framed, far, 0.0, params)
+    assert (nodes, panels, split) == (256, 8, 0)
+
+
+def test_stumpff_is_unchanged_bit_for_bit():
+    # the former implementation, which re-indexed z[near] on every Horner step
+    series = np.array([[(-1.0) ** k / math.factorial(2 * k + 2), (-1.0) ** k / math.factorial(2 * k + 3)]
+                       for k in range(9, -1, -1)])
+
+    def reference(z):
+        c, s = np.empty_like(z), np.empty_like(z)
+        near, ell = np.abs(z) < 1.0, z >= 1.0
+        hyp = ~(near | ell)
+        cs = np.zeros((2, np.count_nonzero(near)))
+        for coef in series:
+            cs = cs * z[near] + coef[:, None]
+        c[near], s[near] = cs
+        x = np.sqrt(z[ell])
+        c[ell] = 2.0 * np.sin(0.5 * x) ** 2 / z[ell]
+        s[ell] = (x - np.sin(x)) / x**3
+        x = np.sqrt(-z[hyp])
+        c[hyp] = 2.0 * np.sinh(0.5 * x) ** 2 / -z[hyp]
+        s[hyp] = (np.sinh(x) - x) / x**3
+        return c, s
+
+    rng = np.random.default_rng(17)
+    z = np.concatenate([
+        rng.uniform(-1.0, 1.0, 400),  # series
+        rng.uniform(1.0, 40.0, 300),  # ellipse
+        -np.exp(rng.uniform(0.0, np.log(500.0), 300)),  # hyperbola
+        [-1.0, 0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)],
+    ])
+    z = rng.permutation(z)
+    for got, want in zip(frames._stumpff(z), reference(z)):
+        assert got.tobytes() == want.tobytes()
+    for part in (z[np.abs(z) < 1.0], z[z >= 1.0], z[z <= -1.0]):  # one branch only
+        for got, want in zip(frames._stumpff(part), reference(part)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_build_frame_rejects_unsupported_ambient():
