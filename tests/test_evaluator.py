@@ -12,11 +12,11 @@ from scipy.special import struve, y0
 from lazy_newton.constants import G
 from lazy_newton.errors import AdaptiveBudgetExceeded, LazyNewtonError, SingularApproach
 from lazy_newton.evaluator import (
+    CHUNK,
+    TILE,
     AdaptiveSimpson,
     GaussLegendre,
     KernelParams,
-    CHUNK,
-    TILE,
     Source,
     _adaptive_integral,
     _eval_block,
