@@ -465,12 +465,23 @@ def _cmd_scenario(args):
     return 0
 
 
-def _format_rows_csv(rows):
-    """CSV text of rows, lists of Python floats in CSV_HEADER order."""
-    return "\n".join([CSV_HEADER, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+def _format_csv(points, slices):
+    """CSV text of a map in CSV_HEADER order: one row per point of each (t, (n, 4) values) slice.
+
+    Each point's "x,y,z" is formatted once per map and each t once per slice.
+    """
+    xyz = [",".join(map(repr, p)) for p in points.tolist()]
+    lines = [CSV_HEADER]
+    for t, values in slices:
+        head = repr(float(t)) + ","
+        lines += [head + p + "," + ",".join(map(repr, v)) for p, v in zip(xyz, values.tolist())]
+    return "\n".join(lines) + "\n"
 
 
-def _format_rows_json(rows):
+def _format_json(points, slices):
+    """JSON text of the same rows as _format_csv; nan values are null."""
+    coords = points.tolist()
+    rows = [[float(t), *p, *v] for t, values in slices for p, v in zip(coords, values.tolist())]
     payload = {
         "schema_version": 1,
         "columns": CSV_HEADER.split(","),
@@ -497,20 +508,19 @@ def _cmd_field(args):
     grid = parse_grid_spec(grid_doc)
 
     points = grid.points()
-    rows = []
+    slices = []
     singular_rows = 0
     for t in grid.times:
         phi, grad, singular = scene_potential_field(
             scene.sources, scene.ambient, points, t, scene.params, threads
         )
         singular_rows += int(singular.sum())
-        n = points.shape[0]
-        rows += np.column_stack([np.full(n, t), points, phi, grad]).tolist()
-    text = _format_rows_csv(rows) if args.format == "csv" else _format_rows_json(rows)
+        slices.append((t, np.column_stack([phi, grad])))
+    text = (_format_csv if args.format == "csv" else _format_json)(points, slices)
     _emit(text, args.out)
     if singular_rows:
         print(
-            f"warning: {singular_rows} of {len(rows)} rows hit the softening guard "
+            f"warning: {singular_rows} of {len(slices) * len(points)} rows hit the softening guard "
             "and carry nan fields",
             file=sys.stderr,
         )

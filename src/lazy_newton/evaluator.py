@@ -20,7 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -46,9 +46,13 @@ __all__ = [
 ]
 
 CHUNK = 512  # grid points per evaluation block; fixed so thread count never changes results
-TILE = 16  # rows of a block summed together; with 512 nodes a (rows, K) array is 64 KiB
+TILE = 16  # fewest rows of a block summed together (see _tile_rows)
+TILE_CELLS = 8192  # (rows, K) entries of a tile: one float64 array of 64 KiB
 MAX_SPLIT = 100  # most equal sub-panels one coarse panel splits into near the past path
 MAX_TURN = 4.0  # radians of a winding path (Trajectory.turn_rate) one panel may span
+# 2 ln(2 + sqrt 5), correctly rounded: the exponent each Gauss-Legendre node
+# gains on a panel whose nearest singularity sits at rho = 2 + sqrt 5 (_panel_orders)
+_NODE_GAIN = 2.8872709503576206
 # integrand evaluations one adaptive integral may spend; the test suite's
 # hardest converging integral needs about 12,000
 _ADAPTIVE_BUDGET = 100_000
@@ -59,14 +63,15 @@ class GaussLegendre:
     """Composite Gauss-Legendre rule, one panel per kernel segment.
 
     Segments never exceed ``max_segment_tau_g`` kernel time constants: the
-    default 5 gives 8 panels of 32 points over the 40 tau_g window. A
-    32-point panel integrates the exponential times any path factor that is
-    smooth on the panel's scale to near machine precision. A path that winds
-    (an orbit) gets panels of at most MAX_TURN radians of it, down to
-    1 / MAX_SPLIT of the default length (see kernel_weights). Where a field
-    point comes closer to a panel's stretch of past path than the stretch is
-    long, the evaluator splits that panel into equal sub-panels of the same
-    order for that block of points (see _split_counts).
+    default 5 gives 8 panels over the 40 tau_g window. A path that winds (an
+    orbit) gets panels of at most MAX_TURN radians of it, down to
+    1 / MAX_SPLIT of the default length (see kernel_weights). Each panel's
+    order is graded by the kernel weight it carries, from order / 2 on the
+    first panel down to 2 (_panel_orders): 83 nodes on the default table.
+    Where a field point comes closer to a panel's stretch of past path than
+    the stretch is long, the evaluator splits that panel into equal
+    sub-panels of the full ``order`` for that block of points (see
+    _split_counts).
     """
 
     order: int = 32
@@ -147,14 +152,18 @@ class KernelNodes:
     Weights absorb the exponential density, so sum(weights) equals the kernel
     mass on [0, t_max], 1 - e^(-t_max_factor), to within an ulp wherever the
     rule has converged, and exactly on every default table tested (see
-    _match_mass). Panel i holds nodes order * i up to order * (i + 1) and
+    _match_mass). Panel i holds nodes starts[i] up to starts[i + 1] and
     spans the lags edges[i] to edges[i + 1].
     """
 
     taus: np.ndarray
     weights: np.ndarray
-    n_segments: int
-    edges: np.ndarray
+    edges: np.ndarray  # (P + 1,)
+    starts: np.ndarray  # (P + 1,), node offset of each panel, then the node count
+
+    @property
+    def n_segments(self):
+        return self.edges.size - 1
 
     def __iter__(self):
         return iter(zip(self.taus, self.weights))
@@ -171,7 +180,7 @@ def _legendre(n, x):
     return p1, n * (x * p1 - p0) / (x * x - 1)
 
 
-@lru_cache(maxsize=8)
+@cache  # one entry per order asked for: the graded orders of every table, and the split order
 def _gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1], correctly rounded to float64.
 
@@ -204,19 +213,58 @@ def _gauss_legendre(n):
     return nodes, weights
 
 
-def _panel_nodes(edges, tau_g, order):
-    """Lags and kernel weights, both (P, order), of one panel per [edges[i], edges[i + 1]].
+def _panel_orders(lags, tau_g, order):
+    """Gauss-Legendre order (a tuple) of each coarse panel from its start lag.
 
-    The density e^(-tau/tau_g) is taken as e^(-mid) e^(-half x), so a
-    node's own rounding stays out of the exponent; at 35 tau_g that
-    rounding alone moved a panel's weight sum by 4 ulp.
+    An unsplit point lies at least a panel length from the panel's stretch
+    of path (_split_counts), so the path factor's nearest singularity sits
+    at rho >= 2 + sqrt 5 and each node gains a factor e^_NODE_GAIN. A panel
+    starting at lag a carries about e^(-a) of the kernel mass, so it needs
+    a / _NODE_GAIN fewer nodes than the first panel for the same absolute
+    error. The first panel gets order / 2, rounded up, so doubling
+    ``order`` raises every panel short of the floor of 2 (criterion 7
+    compares two different tables).
     """
-    x, w = _gauss_legendre(order)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+    n = np.ceil(0.5 * order - lags * (1.0 / (tau_g * _NODE_GAIN)))
+    return tuple(np.maximum(n, 2.0).astype(int).tolist())
+
+
+@lru_cache(maxsize=256)
+def _composite_rule(orders):
+    """Rules of the given orders (a tuple) laid end to end on [-1, 1]: nodes, weights, orders, offsets.
+
+    Panel i holds nodes starts[i] up to starts[i + 1]. Each node is looked up
+    in one table of the distinct orders' rules. The result is cached, since
+    a table's orders repeat wherever its breakpoints do.
+    """
+    orders = np.array(orders)
+    starts = np.concatenate([[0], np.cumsum(orders)])
+    distinct, which = np.unique(orders, return_inverse=True)
+    rules = [_gauss_legendre(int(n)) for n in distinct]
+    first = np.concatenate([[0], np.cumsum(distinct)[:-1]])
+    at = np.arange(starts[-1]) + np.repeat(first[which] - starts[:-1], orders)
+    out = np.concatenate([x for x, _ in rules])[at], np.concatenate([w for _, w in rules])[at], orders, starts
+    for a in out:
+        a.flags.writeable = False  # cached, shared by every caller
+    return out
+
+
+def _panel_nodes(edges, tau_g, orders):
+    """Lags, kernel weights and panel offsets of an orders[i]-point rule on each [edges[i], edges[i + 1]].
+
+    ``orders`` is a tuple, one order per panel. Lags and weights are flat
+    (K,); panel i holds nodes starts[i] up to starts[i + 1]. The
+    density e^(-tau/tau_g) is taken as e^(-mid) e^(-half x), so a node's own
+    rounding stays out of the exponent; at 35 tau_g that rounding alone
+    moved a panel's weight sum by 4 ulp.
+    """
+    x, w, orders, starts = _composite_rule(orders)
+    lo, hi = edges[:-1], edges[1:]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    decay = np.repeat(np.exp(-mid / tau_g), orders)
+    half, mid = np.repeat(half, orders), np.repeat(mid, orders)
     taus = mid + half * x
-    return taus, half * w * np.exp(-mid / tau_g) * np.exp(-half * x / tau_g) / tau_g
+    return taus, half * w * decay * np.exp(-half * x / tau_g) / tau_g, starts
 
 
 def _match_mass(weights, mass):
@@ -265,7 +313,8 @@ def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     MAX_TURN radians of a path winding at ``turn_rate`` (rad/s), but never
     less than 1 / MAX_SPLIT of the former. A 32-point panel over many turns
     of an orbit aliases it: at omega tau_g = 25, 5 tau_g panels missed a
-    field point 64 radii off the orbit by 3e-5 relative. Only the
+    field point 64 radii off the orbit by 3e-5 relative. Each panel's order
+    follows from its start lag (_panel_orders). Only the
     Gauss-Legendre scheme has a fixed node table; the adaptive scheme
     chooses nodes per integrand and is rejected here. tau_g = 0 has no
     kernel at all (instantaneous limit).
@@ -281,14 +330,14 @@ def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     if turn_rate * max_seg > MAX_TURN:
         max_seg = max(MAX_TURN / turn_rate, max_seg / MAX_SPLIT)
     # panel edges: each [a, b] split evenly into panels of at most max_seg
-    edges = np.append(np.concatenate([
+    edges = np.concatenate([
         np.linspace(a, b, max(1, math.ceil((b - a) / max_seg - 1e-12)) + 1)[:-1]
         for a, b in zip(bounds[:-1], bounds[1:])
-    ]), t_max)
-    taus, weights = _panel_nodes(edges, params.tau_g, spec.order)
-    weights = weights.ravel()
+    ] + [[t_max]])
+    orders = _panel_orders(edges[:-1], params.tau_g, spec.order)
+    taus, weights, starts = _panel_nodes(edges, params.tau_g, orders)
     _match_mass(weights, -math.expm1(-params.t_max_factor))
-    return KernelNodes(taus.ravel(), weights, len(edges) - 1, edges)
+    return KernelNodes(taus, weights, edges, starts)
 
 
 def _instantaneous(mass, pos, r, eps):
@@ -369,7 +418,7 @@ def _framed(source, ambient, t, params):
     traj = source.trajectory
     frame = build_frame(traj, ambient, t, params.t_max)
     path = partial(relative_source_path, frame, traj)
-    return source, path, frame.origin(t), max(traj.turn_rate, frame.turn_rate)
+    return source, path, frame.match_origin, max(traj.turn_rate, frame.turn_rate)
 
 
 def _path_nodes(source, path, shift, turn_rate, t, params):
@@ -378,26 +427,34 @@ def _path_nodes(source, path, shift, turn_rate, t, params):
     The node at lag tau sits at path(t - tau) + shift and carries -G M times
     its kernel weight. The naive route passes the lab path and no shift; the
     framed route passes the frame-relative path and the frame origin at t.
-    Returns node positions, weights and lags, then per panel its lag edges
-    (P, 2), the length of the polyline through its nodes and two end points,
-    and that polyline's longest step. The end points sit halfway between the
-    panel's edges and its outermost nodes, on the panel's own side of any
-    jump in the path.
+    Returns node positions, weights and lags, then per panel its node count,
+    its lag edges (P, 2), the length of the polyline through its nodes and
+    two end points, and that polyline's longest step. The end points sit
+    halfway between the panel's edges and its outermost nodes, on the
+    panel's own side of any jump in the path.
     """
     if params.tau_g == 0.0:
-        no_panels = np.zeros((0, 2)), np.zeros(0), np.zeros(0)
+        no_panels = np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0)
         return path(t)[None, :] + shift, np.array([-G * source.mass]), np.zeros(1), *no_panels
     bps = _tau_breakpoints(source.trajectory, t, params)
     nodes = kernel_weights(params, bps, turn_rate=turn_rate)
+    k, p, s, taus = nodes.taus.size, nodes.n_segments, nodes.starts, nodes.taus
     lo, hi = nodes.edges[:-1], nodes.edges[1:]
-    inset = 0.25 * (1.0 - _gauss_legendre(params.quadrature.order)[0][-1]) * (hi - lo)
-    k, p = nodes.taus.size, nodes.n_segments
-    at = path(t - np.concatenate([nodes.taus, lo + inset, hi - inset]))  # one path call
-    line = np.concatenate([at[k:k + p, None], at[:k].reshape(p, -1, 3), at[k + p:, None]], axis=1)
-    steps = np.linalg.norm(np.diff(line, axis=1), axis=2)
+    first, last = s[:-1], s[1:] - 1  # each panel's outermost nodes
+    ends = np.concatenate([0.5 * (lo + taus[first]), 0.5 * (hi + taus[last])])
+    at = path(t - np.concatenate([taus, ends]))  # one path call
+    pts = at[:k]
+    # polyline steps: node to node, then each panel's first end point to its
+    # first node and its last node to its last end point
+    d = np.concatenate([np.diff(pts, axis=0), pts[first] - at[k:k + p], at[k + p:] - pts[last]])
+    steps = np.sqrt(np.einsum("ij,ij->i", d, d))
+    steps[last[:-1]] = 0.0  # from one panel's last node to the next panel's first
+    inner, ends = steps[:k - 1], steps[k - 1:].reshape(2, p)
+    lengths = np.add.reduceat(inner, first) + ends[0] + ends[1]
+    gaps = np.maximum(np.maximum.reduceat(inner, first), ends.max(axis=0))
     edges = np.column_stack([lo, hi])
     weights = -G * source.mass * nodes.weights
-    return at[:k] + shift, weights, nodes.taus, edges, steps.sum(axis=1), steps.max(axis=1)
+    return pts + shift, weights, taus, np.diff(s), edges, lengths, gaps
 
 
 def _adaptive_point(framed, r, t, params):
@@ -442,16 +499,17 @@ class PreparedScene:
     scene then evaluates as a plain N-body sum over these nodes.
 
     The nodes are the coarse tables, one per source, their coordinates held
-    as (3, K) rows for the block sum. Each coarse panel keeps what a block of
-    points needs to split it near the past path: its lag edges, polyline
-    length and longest polyline step, and which source's (path, shift, -G M)
-    it samples.
+    as (3, K) rows for the block sum. Coarse panel p holds nodes starts[p]
+    up to starts[p + 1], and keeps what a block of points needs to split it
+    near the past path: its lag edges, polyline length and longest polyline
+    step, and which source's (path, shift, -G M) it samples.
     """
 
     coords: np.ndarray  # (3, K), node x, y and z, each contiguous
     weights: np.ndarray  # (K,), include the -G*M factor
     lags: np.ndarray  # (K,), kernel lag tau of each node
     n_nodes_per_source: tuple
+    starts: np.ndarray  # (P + 1,), node offset of each coarse panel, then its end
     panel_edges: np.ndarray  # (P, 2), lag interval of each coarse panel
     panel_lengths: np.ndarray  # (P,), polyline length through end points and nodes
     panel_gaps: np.ndarray  # (P,), longest step of that polyline
@@ -469,14 +527,17 @@ class PreparedScene:
 def _scene(framed, t, params):
     parts = [_path_nodes(*f, t, params) for f in framed]
     # the empty arrays keep a source-free scene well formed
-    empty = (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-    positions, weights, lags, edges, lengths, gaps = (np.concatenate(p) for p in zip(*parts, empty))
+    empty = (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
+             np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    positions, weights, lags, sizes, edges, lengths, gaps = (
+        np.concatenate(p) for p in zip(*parts, empty))
     counts = tuple(len(p[1]) for p in parts)
-    sources = np.repeat(np.arange(len(parts)), [len(p[3]) for p in parts])
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    sources = np.repeat(np.arange(len(parts)), [len(p[4]) for p in parts])
     paths = tuple((path, shift, -G * src.mass) for src, path, shift, _ in framed)
     coords = np.ascontiguousarray(positions.T)
     return PreparedScene(
-        coords, weights, lags, counts, edges, lengths, gaps, sources, paths, t, params
+        coords, weights, lags, counts, starts, edges, lengths, gaps, sources, paths, t, params
     )
 
 
@@ -502,10 +563,9 @@ def _split_counts(scene, r):
     so the panel needs ceil(L_p / d_p) of them, at most MAX_SPLIT, and
     MAX_SPLIT when d_p <= 0.
     """
-    n_panels = scene.panel_lengths.size
-    if n_panels == 0:
+    if scene.panel_lengths.size == 0:
         return np.ones((r.shape[0], 0), dtype=int)
-    near = r.reshape(r.shape[0], n_panels, -1).min(axis=2) - 0.5 * scene.panel_gaps
+    near = np.minimum.reduceat(r, scene.starts[:-1], axis=1) - 0.5 * scene.panel_gaps
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.ceil(scene.panel_lengths / near)
     m[~(near > 0.0)] = MAX_SPLIT
@@ -523,10 +583,15 @@ def _split_nodes(scene, m):
     for p in np.flatnonzero(m > 1):
         path, shift, coef = scene.paths[scene.panel_sources[p]]
         edges = np.linspace(*scene.panel_edges[p], m[p] + 1)
-        taus, weights = (a.ravel() for a in _panel_nodes(edges, scene.params.tau_g, order))
+        taus, weights, _ = _panel_nodes(edges, scene.params.tau_g, (order,) * m[p])
         coords = np.ascontiguousarray((path(scene.t - taus) + shift).T)
         out.append((p, coords, coef * weights, taus))
     return out
+
+
+def _tile_rows(k):
+    """Rows per tile of a block summed against k nodes: (rows, k) arrays of TILE_CELLS entries."""
+    return max(TILE, TILE_CELLS // max(k, 1))
 
 
 def _tile(pts, coords):
@@ -552,9 +617,9 @@ def _tile_sums(inv, r2, d):
 def _eval_block(scene, pts):
     """Potential, field, guard mask and per-panel split counts of a prepared scene on one block.
 
-    The block runs in tiles of TILE rows whose (rows, K) arrays stay in
-    cache: each tile's distances to the coarse nodes give its guard mask,
-    its split decision and its sums. A panel splits into the most
+    The block runs in tiles of _tile_rows(K) rows whose (rows, K) arrays
+    stay in cache: each tile's distances to the coarse nodes give its guard
+    mask, its split decision and its sums. A panel splits into the most
     sub-panels any point of the block needs (guarded points aside), and only
     the points that need a split trade the panel's coarse nodes for its
     sub-panel nodes; the others keep the coarse panel, which has converged
@@ -571,9 +636,11 @@ def _eval_block(scene, pts):
     # a point farther than this from every node splits no panel (_split_counts);
     # the slack covers rounding, and the closer points get the exact test
     reach = np.max(scene.panel_lengths + 0.5 * scene.panel_gaps, initial=0.0) * (1.0 + 1e-9)
+    starts = scene.starts
+    step = _tile_rows(scene.coords.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n, TILE):
-            rows = slice(lo, lo + TILE)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
             d, r2, r = _tile(pts[rows], scene.coords)
             nearest = r.min(axis=1, initial=math.inf)
             singular[rows] = hit = nearest <= eps
@@ -583,15 +650,15 @@ def _eval_block(scene, pts):
                 tile = counts[rows]
                 tile[close] = _split_counts(scene, r[close])
                 need = tile > 1
-                order = scene.params.quadrature.order
                 for p in np.flatnonzero(need.any(axis=0)):
-                    inv[need[:, p], p * order:(p + 1) * order] = 0.0
+                    inv[need[:, p], starts[p]:starts[p + 1]] = 0.0
             phi[rows], grad[rows] = _tile_sums(inv, r2, d)
         m = counts.max(axis=0, initial=1)
         for p, coords, weights, _ in _split_nodes(scene, m):
             need = np.flatnonzero(counts[:, p] > 1)
-            for lo in range(0, need.size, TILE):
-                rows = need[lo:lo + TILE]
+            step = _tile_rows(coords.shape[1])
+            for lo in range(0, need.size, step):
+                rows = need[lo:lo + step]
                 d, r2, r = _tile(pts[rows], coords)
                 singular[rows] |= r.min(axis=1) <= eps
                 tile_phi, tile_grad = _tile_sums(weights / r, r2, d)
@@ -641,8 +708,9 @@ def _values(framed, pts, t, params):
     phi, grad, singular, m = _eval_block(scene, pts)
     if singular.any():
         raise _guard_hit(scene, pts[np.argmax(singular)], m)
-    panels = int(m.sum())
-    return phi, grad, (panels * getattr(params.quadrature, "order", 0), panels, int(np.sum(m > 1)))
+    order = getattr(params.quadrature, "order", 0)
+    nodes = int(np.where(m > 1, m * order, np.diff(scene.starts)).sum())
+    return phi, grad, (nodes, int(m.sum()), int(np.sum(m > 1)))
 
 
 def delayed_potential_naive(source, r, t, params, *, path=None):

@@ -184,6 +184,11 @@ class FreeFallFrame:
         r = self._closest_approach[0]
         return math.sqrt(self._h2) / (r * r)
 
+    @property
+    def match_origin(self):
+        """Origin y(match_time): the source position there by construction, with no Kepler solve."""
+        return self._p_t.copy()
+
     def _clamped(self, s):
         s, scalar = _times(s)
         lo = self.match_time - self.horizon

@@ -21,12 +21,14 @@ from lazy_newton.evaluator import (
     KernelParams,
     Source,
     _eval_block,
+    _gauss_legendre,
     _split_nodes,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
     kernel_weights,
     prepare_scene,
+    scene_potential_field,
 )
 from lazy_newton.frames import PointMassField, UniformField, ZeroField, build_frame
 from lazy_newton.kinematics import (
@@ -391,7 +393,7 @@ def field_sum_error(scene, pts):
     _, grad, singular, m = _eval_block(scene, pts)
     assert not singular.any() and (len(pts) == 1 or (m == 1).all())
     splits = _split_nodes(scene, m)
-    keep = np.repeat(m == 1, scene.params.quadrature.order)
+    keep = np.repeat(m == 1, np.diff(scene.starts))
     positions = np.concatenate([scene.positions[keep]] + [c.T for _, c, _, _ in splits])
     weights = np.concatenate([scene.weights[keep]] + [w for _, _, w, _ in splits])
     worst = 0.0
@@ -404,6 +406,64 @@ def field_sum_error(scene, pts):
             if scale > 0.0:
                 worst = max(worst, abs(g[j] - math.fsum(terms[:, j])) / (np.finfo(float).eps * scale))
     return worst
+
+
+def reference_map(sources, amb, pts, t, params):
+    """Potential (n,) and field (n, 3) from a hand-built 64-point rule on every 5 tau_g panel.
+
+    The panels are the ungraded layout: multiples of 5 tau_g, cut at each
+    source's breakpoint lags. The rule is the polished one, which equals the
+    50-digit Gauss-Legendre rule rounded (test_evaluator.TestPolishedRule).
+    """
+    x, w = _gauss_legendre(64)
+    tau_g, t_max = params.tau_g, params.t_max
+    phi, grad = np.zeros(len(pts)), np.zeros((len(pts), 3))
+    for src in sources:
+        frame = build_frame(src.trajectory, amb, t, t_max)
+        lags = [t - s for s in src.trajectory.breakpoints_in(t - t_max, t)]
+        cuts = np.arange(0.0, t_max - 0.5 * tau_g, 5.0 * tau_g)
+        edges = np.unique(np.concatenate([cuts, [b for b in lags if 0.0 < b < t_max], [t_max]]))
+        half = 0.5 * np.diff(edges)[:, None]
+        taus = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+        weights = (half * w).ravel() * np.exp(-taus / tau_g) / tau_g * (-G * src.mass)
+        s = t - taus
+        nodes = frame.origin(t) + src.trajectory.position(s) - frame.origin(s)
+        d = pts[:, None, :] - nodes[None, :, :]
+        r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+        phi += (weights / r).sum(axis=1)
+        grad += np.einsum("ij,ijk->ik", weights / r**3, d)
+    return phi, grad
+
+
+def test_graded_table_matches_a_64_point_table():
+    # the graded table (83 nodes per source) against 64 nodes on every panel:
+    # the scenario scenes and a point-mass orbit at three tau_g, and every
+    # time of the criterion-8 map; each column within a fixed share of its
+    # largest magnitude (a lone point's field: of its largest component)
+    worst = [0.0, 0.0]
+
+    def check(sources, amb, pts, t, params):
+        phi, grad, singular = scene_potential_field(sources, amb, pts, t, params, threads=1)
+        ref_phi, ref_grad = reference_map(sources, amb, pts, t, params)
+        assert not singular.any()
+        worst[0] = max(worst[0], np.max(np.abs(phi - ref_phi)) / np.max(np.abs(ref_phi)))
+        scale = np.max(np.abs(ref_grad), axis=0) if len(pts) > 1 else np.max(np.abs(ref_grad))
+        worst[1] = max(worst[1], np.max(np.max(np.abs(grad - ref_grad), axis=0) / scale))
+
+    for tau_g in (2.55e-4, 1e-3, 1e-2):
+        params = KernelParams(tau_g)
+        omega = 2.0 / params.t_max
+        orbit = (Source(1.0, CircularOrbit((0, 0, 0), 1.0, omega)),
+                 PointMassField((0, 0, 0), omega**2 / G), np.array([2.5, 0.1, -0.2]), 0.0)
+        for src, amb, r, t in scenario_scenes() + [orbit]:
+            check([src], amb, r[None, :], t, params)
+    sources = [Source(2.0, Static((0, 0, 0))), Source(1.0, CircularOrbit((0, 0, 0), 1.0, 10.0))]
+    xs = np.linspace(-1.0, 1.0, 21)
+    pts = np.column_stack([np.repeat(xs, 21), np.tile(xs, 21), np.full(21 * 21, 2.0)])
+    for t in np.linspace(0.0, 2e-3, 10):  # the criterion-8 map's times
+        check(sources, UniformField((0, 0, -9.81)), pts, t, KernelParams(1e-3))
+    assert worst[0] <= 1e-15
+    assert worst[1] <= 2e-14
 
 
 @pytest.mark.parametrize("tau_g", [2.55e-4, 1e-3, 1e-2])

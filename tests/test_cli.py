@@ -340,13 +340,23 @@ class TestFieldCommand:
             ],
             "times": [1e-4, 3e-4],
         }
-        for fmt in ("csv", "json"):
-            code, out = self.run_field(
-                tmp_path, monkeypatch, fmt=fmt, scene=self.singular_scene(), grid=grid
-            )
-            assert code == 1  # the grid point on the source is a nan row at each time
-            assert out.read_bytes() == reference(self.singular_scene(), grid, fmt).encode()
-        assert "2 of 18 rows" in capsys.readouterr().err
+        # a grid tilted against every axis, starting on the source, three slices
+        tilted = {
+            "origin": [0.0, 0.0, 0.0],
+            "axes": [
+                {"direction": [1, 2, 2], "extent_m": 1.7, "count": 3},
+                {"direction": [-2, 1, 0.5], "extent_m": 0.9, "count": 4},
+            ],
+            "times": [1e-4, 2.5e-4, 7e-4],
+        }
+        for grid, warning in ((grid, "2 of 18 rows"), (tilted, "3 of 36 rows")):
+            for fmt in ("csv", "json"):
+                code, out = self.run_field(
+                    tmp_path, monkeypatch, fmt=fmt, scene=self.singular_scene(), grid=grid
+                )
+                assert code == 1  # the grid point on the source is a nan row at each time
+                assert out.read_bytes() == reference(self.singular_scene(), grid, fmt).encode()
+            assert warning in capsys.readouterr().err
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = write_json(tmp_path / "scene.json", scene_doc())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import struve, y0
 
+import lazy_newton.evaluator as evaluator
 from lazy_newton.constants import G
 from lazy_newton.errors import AdaptiveBudgetExceeded, LazyNewtonError, SingularApproach
 from lazy_newton.evaluator import (
@@ -24,6 +25,7 @@ from lazy_newton.evaluator import (
     _panel_nodes,
     _split_counts,
     _tile,
+    _tile_rows,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
@@ -32,7 +34,7 @@ from lazy_newton.evaluator import (
     scene_potential_field,
     superposed_potential,
 )
-from lazy_newton.frames import PointMassField, UniformField, ZeroField
+from lazy_newton.frames import FreeFallFrame, PointMassField, UniformField, ZeroField
 from lazy_newton.kinematics import (
     CircularOrbit,
     PiecewiseStatic,
@@ -76,9 +78,11 @@ class TestKernelWeights:
     def test_node_layout(self):
         params = KernelParams(1e-3)
         nodes = kernel_weights(params)
-        # 40 tau_g span / (5 tau_g per segment) = 8 segments of order 32
+        # 40 tau_g span / (5 tau_g per segment) = 8 segments, their orders
+        # graded from 32 / 2 by each panel's start lag
         assert nodes.n_segments == 8
-        assert len(nodes) == 8 * 32
+        assert list(np.diff(nodes.starts)) == [16, 15, 13, 11, 10, 8, 6, 4]
+        assert len(nodes) == 83
         assert np.all(np.diff(nodes.taus) > 0)
         assert np.all(nodes.weights > 0)
         assert nodes.taus[0] > 0 and nodes.taus[-1] < params.t_max
@@ -104,6 +108,19 @@ class TestKernelWeights:
         # breakpoints outside (0, t_max) are ignored
         same = kernel_weights(params, breakpoints=[-1.0, 0.0, params.t_max, 2.0])
         assert same.n_segments == base.n_segments
+
+    @pytest.mark.parametrize("tau_g", [2.55e-4, 1e-3, 1e-2, 3.0])
+    def test_doubling_the_order_raises_every_panel(self, tau_g):
+        # criterion 7's order doubling compares two different tables only if
+        # every coarse panel gains nodes; the panels themselves stay put
+        t_max = 40.0 * tau_g
+        for bps in ((), (0.013 * t_max,), (0.3 * t_max, 0.71 * t_max)):
+            for rate in (0.0, 0.8 / tau_g, 10.0 / tau_g, 1e9):
+                base = kernel_weights(KernelParams(tau_g), bps, turn_rate=rate)
+                doubled = kernel_weights(
+                    KernelParams(tau_g, quadrature=GaussLegendre(order=64)), bps, turn_rate=rate)
+                np.testing.assert_array_equal(doubled.edges, base.edges)
+                assert np.all(np.diff(doubled.starts) > np.diff(base.starts))
 
     def test_rejects_instantaneous_and_adaptive(self):
         with pytest.raises(ValueError):
@@ -184,8 +201,9 @@ class TestPolishedRule:
         # numpy's leggauss rule misses this by 11 ulp (1.2e-15) at order 32
         # on 5 tau_g panels, and by 513 ulp at order 128 on 20 tau_g panels
         edges = np.arange(0.0, 40.0 + 0.5 * panel, panel)
-        _, weights = _panel_nodes(edges, 1.0, order)
-        for got, want in zip(weights.sum(axis=1), decimal_panel_integrals(order, edges)):
+        _, weights, starts = _panel_nodes(edges, 1.0, (order,) * (edges.size - 1))
+        sums = [weights[a:b].sum() for a, b in zip(starts[:-1], starts[1:])]
+        for got, want in zip(sums, decimal_panel_integrals(order, edges)):
             assert abs(got - want) <= 4.0 * math.ulp(want)
 
     def test_kernel_table_sums_to_the_kernel_mass(self):
@@ -202,7 +220,7 @@ class TestPolishedRule:
         params = KernelParams(1.0, quadrature=GaussLegendre(order=2, max_segment_tau_g=5.0))
         nodes = kernel_weights(params)
         edges = nodes.edges
-        np.testing.assert_array_equal(nodes.weights, _panel_nodes(edges, 1.0, 2)[1].ravel())
+        np.testing.assert_array_equal(nodes.weights, _panel_nodes(edges, 1.0, (2,) * nodes.n_segments)[1])
         assert abs(nodes.weights.sum() - (1.0 - math.exp(-40.0))) > 1e-3
 
 
@@ -677,6 +695,7 @@ class TestSceneEvaluation:
         xs = np.linspace(-2.49, 2.51, 41)
         pts = np.column_stack([np.repeat(xs, 41), np.tile(xs, 41), np.zeros(41 * 41)])
         scene = prepare_scene(sources, amb, 0.0, params)
+        rows = _tile_rows(scene.coords.shape[1])
         split_panels, split_blocks, split_tiles = 0, set(), set()
         for lo in range(0, len(pts), CHUNK):
             block = pts[lo:lo + CHUNK]
@@ -688,13 +707,58 @@ class TestSceneEvaluation:
             split_panels += int(np.sum(m > 1))
             for row in np.flatnonzero(np.any(counts > 1, axis=1)):
                 split_blocks.add(lo)
-                split_tiles.add((lo, row // TILE))
+                split_tiles.add((lo, row // rows))
         assert split_panels > 0
         assert len(split_blocks) >= 3 and len(split_tiles) >= 6
         phi1, grad1, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
         phi4, grad4, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=4)
         assert phi1.tobytes() == phi4.tobytes()
         assert grad1.tobytes() == grad4.tobytes()
+
+    def test_tile_rows_do_not_change_bytes(self, monkeypatch):
+        # K-derived tiles (here 2 x 83 nodes: 49 rows) against 16-row tiles,
+        # on a map whose rows near a fast orbit split panels
+        sources = [
+            Source(1.0, CircularOrbit((0, 0, 0), 1.0, 100.0)),
+            Source(2.0, Static((0, 0, 0.5))),
+        ]
+        amb = UniformField((0, 0, -9.81))
+        params = KernelParams(1e-3)
+        xs = np.linspace(-2.49, 2.51, 41)
+        pts = np.column_stack([np.repeat(xs, 41), np.tile(xs, 41), np.zeros(41 * 41)])
+        scene = prepare_scene(sources, amb, 0.0, params)
+        assert _tile_rows(scene.coords.shape[1]) > TILE
+        assert np.any(_eval_block(scene, pts[:CHUNK])[3] > 1)
+        phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
+        monkeypatch.setattr(evaluator, "_tile_rows", lambda k: TILE)
+        phi16, grad16, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
+        assert phi.tobytes() == phi16.tobytes()
+        assert grad.tobytes() == grad16.tobytes()
+
+    def test_point_mass_frames_skip_the_match_time_solve(self, monkeypatch):
+        # the origin at the match time is the source's own position there;
+        # the nodes take one solve per frame and the window start at most one
+        mass = 1e12
+        sources = [
+            Source(1.0, CircularOrbit((0, 0, 0), radius, math.sqrt(G * mass / radius**3), phase=phase))
+            for radius, phase in ((1.0, 0.3), (1.5, 2.0), (2.0, 4.1))
+        ]
+        amb = PointMassField((0, 0, 0), mass)
+        calls = []
+        original = FreeFallFrame.origin
+
+        def counted(frame, s):
+            calls.append(np.array(s, dtype=float))
+            return original(frame, s)
+
+        monkeypatch.setattr(FreeFallFrame, "origin", counted)
+        t = 0.37
+        scene = prepare_scene(sources, amb, t, KernelParams(1e-3))
+        assert len(calls) <= 2 * len(sources)
+        assert not any(s.ndim == 0 and s == t for s in calls)
+        monkeypatch.undo()
+        positions = np.array([src.trajectory.position(t) for src in sources])
+        np.testing.assert_array_equal([shift for _, shift, _ in scene.paths], positions)
 
     def test_block_rows_equal_single_point_rows(self):
         # each row reduces alone, so neither the block nor its tiling moves a bit

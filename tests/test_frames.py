@@ -263,7 +263,7 @@ def test_flyby_turn_rate_and_panels_come_from_the_window():
     far = np.array([[0.0, 0.0, 100.0]])
     framed = [_framed(Source(1.0, path), field, 0.0, params)]
     _, _, (nodes, panels, split) = _values(framed, far, 0.0, params)
-    assert (nodes, panels, split) == (256, 8, 0)
+    assert (nodes, panels, split) == (83, 8, 0)
 
 
 def test_stumpff_is_unchanged_bit_for_bit():

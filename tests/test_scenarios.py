@@ -303,7 +303,12 @@ class TestDiagnostics:
         diagnostics = report.diagnostics
         assert diagnostics["split_panels"] > 0
         assert diagnostics["kernel_segments"] > kernel_weights(KernelParams(1e-3)).n_segments
-        assert diagnostics["kernel_nodes"] == 32 * diagnostics["kernel_segments"]
+        # the first panels split into sub-panels of the full order 32; the
+        # others keep their graded orders
+        sizes = np.diff(kernel_weights(KernelParams(1e-3)).starts)
+        split = diagnostics["split_panels"]
+        sub_panels = diagnostics["kernel_segments"] - (sizes.size - split)
+        assert diagnostics["kernel_nodes"] == 32 * sub_panels + sizes[split:].sum()
 
     def test_newtonian_limit_has_no_table(self):
         report = static_shift_scenario(9.81, 0.0, 1.0)
