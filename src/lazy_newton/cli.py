@@ -555,7 +555,7 @@ def _build_parser():
     p = scen_sub.add_parser("static", parents=[common, kernel],
                             help="supported static source in uniform gravity")
     p.add_argument("--g", type=float, default=9.81, help="gravity magnitude m/s^2")
-    p.add_argument("--distances", type=_floats_flag, default=[1.0],
+    p.add_argument("--distances", type=_floats_flag, default=(1.0,),
                    help="comma-separated probe distances in m")
 
     p = scen_sub.add_parser("orbit", parents=[common, kernel], help="revolving source")
@@ -593,9 +593,13 @@ def _build_parser():
     return parser
 
 
+# Built once per process: the tree costs about ten times one parse_args call.
+# Defaults are immutable or only read, so parses never share mutable state.
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "scenario":
             if args.name == "jump" and args.times is None:

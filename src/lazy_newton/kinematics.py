@@ -12,7 +12,6 @@ function, so trajectories are safe to share across threads.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "as_vec3",
@@ -274,11 +273,15 @@ class Sampled(Trajectory):
 
     times: np.ndarray
     positions: np.ndarray
-    _spline: CubicSpline = field(init=False, repr=False)
-    _d1: CubicSpline = field(init=False, repr=False)
-    _d2: CubicSpline = field(init=False, repr=False)
+    _spline: object = field(init=False, repr=False)
+    _d1: object = field(init=False, repr=False)
+    _d2: object = field(init=False, repr=False)
 
     def __post_init__(self):
+        # scipy costs most of the package's import time and only this path
+        # needs it, so it is imported on the first sampled trajectory.
+        from scipy.interpolate import CubicSpline
+
         t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.positions, dtype=float)
         if t.ndim != 1 or t.size < 4:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lazy_newton.cli as cli
 from lazy_newton.cli import _build_parser, main, parse_grid_spec, parse_scene_config
 from lazy_newton.errors import ConfigError
 from lazy_newton.evaluator import AdaptiveSimpson, GaussLegendre, scene_potential_field
@@ -238,6 +243,26 @@ class TestScenarioCommand:
         assert main(["scenario", "estimate", "--out", str(out_file)]) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out_file.read_text())["scenario"] == "estimate"
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch):
+        def no_rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["scenario", "static", "--distances", "2,3", "--out", str(first)]) == 0
+        assert main(["scenario", "static", "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["inputs"]["probe_distances_m"] == [2.0, 3.0]
+        reused = json.loads(second.read_text())
+        assert reused["inputs"]["probe_distances_m"] == [1.0]
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "lazy_newton", "scenario", "static"],
+                              env=env, capture_output=True, text=True, check=True)
+        fresh = json.loads(done.stdout)
+        del reused["wall_time_s"], fresh["wall_time_s"]
+        assert reused == fresh
 
     def test_bad_flag_value_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lazy_newton
 from lazy_newton.kinematics import (
     CircularOrbit,
     PiecewiseStatic,
@@ -139,6 +146,25 @@ def test_sampled_matches_samples_and_clamps():
     np.testing.assert_array_equal(traj.acceleration(7.0), [0.0, 0.0, 0.0])
     assert traj.breakpoints_in(-1.0, 2.0) == [0.0, 1.0]
     assert traj.breakpoints_in(0.2, 0.8) == []
+
+
+def test_package_imports_without_scipy_until_a_sampled_path():
+    # runs in a fresh interpreter: the suite's other modules load scipy first
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import lazy_newton, lazy_newton.cli
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        t = np.linspace(0.0, 1.0, 9)
+        pos = np.stack([t**3, 1.0 - t, np.zeros_like(t)], axis=1)
+        traj = lazy_newton.Sampled(t, pos)
+        assert np.allclose(traj.position(t[3]), pos[3], rtol=0.0, atol=1e-12)
+        assert "scipy.interpolate" in sys.modules
+    """)
+    src = str(Path(lazy_newton.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_sampled_validation():
