@@ -593,8 +593,8 @@ def _build_parser():
     return parser
 
 
-# Built once per process: the tree costs about ten times one parse_args call.
-# Defaults are immutable or only read, so parses never share mutable state.
+# Built once per process: building the tree costs far more than parsing with it.
+# Every default is immutable, so no parse can leak into the next.
 _PARSER = _build_parser()
 
 

@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,7 +242,7 @@ class TestScenarioCommand:
         assert capsys.readouterr().out == ""
         assert json.loads(out_file.read_text())["scenario"] == "estimate"
 
-    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch):
+    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch, src_env):
         def no_rebuild():
             raise AssertionError("main rebuilt the parser")
 
@@ -256,10 +254,8 @@ class TestScenarioCommand:
         reused = json.loads(second.read_text())
         assert reused["inputs"]["probe_distances_m"] == [1.0]
 
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-m", "lazy_newton", "scenario", "static"],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=src_env, capture_output=True, text=True, check=True)
         fresh = json.loads(done.stdout)
         del reused["wall_time_s"], fresh["wall_time_s"]
         assert reused == fresh

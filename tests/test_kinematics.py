@@ -1,15 +1,12 @@
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lazy_newton
 from lazy_newton.kinematics import (
     CircularOrbit,
     PiecewiseStatic,
@@ -148,7 +145,7 @@ def test_sampled_matches_samples_and_clamps():
     assert traj.breakpoints_in(0.2, 0.8) == []
 
 
-def test_package_imports_without_scipy_until_a_sampled_path():
+def test_package_imports_without_scipy_until_a_sampled_path(src_env):
     # runs in a fresh interpreter: the suite's other modules load scipy first
     code = textwrap.dedent("""
         import sys
@@ -162,9 +159,7 @@ def test_package_imports_without_scipy_until_a_sampled_path():
         assert np.allclose(traj.position(t[3]), pos[3], rtol=0.0, atol=1e-12)
         assert "scipy.interpolate" in sys.modules
     """)
-    src = str(Path(lazy_newton.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=src_env, check=True)
 
 
 def test_sampled_validation():
