@@ -5,13 +5,13 @@ regimes the scenarios refuse to run in; 1 for numeric failures during an
 otherwise valid run (including field maps that had to emit nan rows).
 
 Field maps are deterministic: identical inputs produce byte-identical output
-files no matter how many threads LAZY_NEWTON_THREADS allows.
+files. Maps run on the calling thread; LAZY_NEWTON_THREADS is accepted and
+ignored.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -407,17 +407,6 @@ def _floats_flag(text):
         raise argparse.ArgumentTypeError(f"non-numeric value in {text!r}") from None
 
 
-def _threads_from_env():
-    raw = os.environ.get("LAZY_NEWTON_THREADS", "0").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"LAZY_NEWTON_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError("LAZY_NEWTON_THREADS must be >= 0 (0 = auto)")
-    return value
-
-
 def _emit(text, out):
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -491,7 +480,6 @@ def _format_json(points, slices):
 
 
 def _cmd_field(args):
-    threads = _threads_from_env()
     try:
         scene_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -512,7 +500,7 @@ def _cmd_field(args):
     singular_rows = 0
     for t in grid.times:
         phi, grad, singular = scene_potential_field(
-            scene.sources, scene.ambient, points, t, scene.params, threads
+            scene.sources, scene.ambient, points, t, scene.params
         )
         singular_rows += int(singular.sum())
         slices.append((t, np.column_stack([phi, grad])))

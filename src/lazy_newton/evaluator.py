@@ -16,8 +16,6 @@ is not renormalized away.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from functools import cache, lru_cache, partial
@@ -45,7 +43,9 @@ __all__ = [
     "scene_potential_field",
 ]
 
-CHUNK = 512  # grid points per evaluation block; fixed so thread count never changes results
+# grid points per evaluation block. A panel splits for at most one block of
+# points (_eval_block), so a fixed size keeps a given map's bytes fixed.
+CHUNK = 512
 TILE = 16  # fewest rows of a block summed together (see _tile_rows)
 TILE_CELLS = 8192  # (rows, K) entries of a tile: one float64 array of 64 KiB
 MAX_SPLIT = 100  # most equal sub-panels one coarse panel splits into near the past path
@@ -624,9 +624,9 @@ def _eval_block(scene, pts):
     the points that need a split trade the panel's coarse nodes for its
     sub-panel nodes; the others keep the coarse panel, which has converged
     for them. Each point reduces along its own row, so results are bitwise
-    reproducible for any thread count and any tiling. The sums are numpy's
-    pairwise sums, whose rounding grows with log K, not K: shift fits
-    amplify ulp noise by the probe-distance / displacement ratio.
+    reproducible for any tiling. The sums are numpy's pairwise sums, whose
+    rounding grows with log K, not K: shift fits amplify ulp noise by the
+    probe-distance / displacement ratio.
     """
     eps = scene.params.softening_eps
     n = pts.shape[0]
@@ -775,23 +775,15 @@ def _adaptive_block(framed, t, params, pts):
     return out[:, 0], out[:, 1:], singular, np.zeros(0, dtype=int)
 
 
-def _resolve_threads(threads):
-    if threads in (None, 0):
-        return min(8, os.cpu_count() or 1)
-    n = int(threads)
-    if n < 0:
-        raise ValueError("thread count must be >= 0")
-    return max(1, n)
-
-
-def scene_potential_field(sources, ambient, points, t, params, threads=0):
+def scene_potential_field(sources, ambient, points, t, params, threads=None):
     """Potential and field of a scene on many points at one time.
 
     Returns (phi (n,), grad (n,3), singular (n,) bool). Points inside the
     guard radius of any effective node produce nan rows and a True mask
     entry instead of raising, so grid sweeps can report and continue.
-    Identical inputs give byte-identical outputs for any ``threads``;
-    0 means automatic.
+    Points run in blocks of CHUNK, one after another on the calling thread,
+    so identical inputs give byte-identical outputs. ``threads`` is ignored;
+    it is accepted so that callers that still pass a thread count keep working.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -807,16 +799,7 @@ def scene_potential_field(sources, ambient, points, t, params, threads=0):
         block = partial(_adaptive_block, framed, t, params)
     else:
         block = partial(_eval_block, prepare_scene(sources, ambient, t, params))
-
-    def run_block(lo, hi):
-        phi[lo:hi], grad[lo:hi], singular[lo:hi], _ = block(pts[lo:hi])
-
-    blocks = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-    workers = _resolve_threads(threads)
-    if workers == 1 or len(blocks) <= 1:
-        for lo, hi in blocks:
-            run_block(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_block(*b), blocks))
+    for lo in range(0, n, CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        phi[rows], grad[rows], singular[rows], _ = block(pts[rows])
     return phi, grad, singular

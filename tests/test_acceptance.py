@@ -443,7 +443,7 @@ def test_graded_table_matches_a_64_point_table():
     worst = [0.0, 0.0]
 
     def check(sources, amb, pts, t, params):
-        phi, grad, singular = scene_potential_field(sources, amb, pts, t, params, threads=1)
+        phi, grad, singular = scene_potential_field(sources, amb, pts, t, params)
         ref_phi, ref_grad = reference_map(sources, amb, pts, t, params)
         assert not singular.any()
         worst[0] = max(worst[0], np.max(np.abs(phi - ref_phi)) / np.max(np.abs(ref_phi)))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import lazy_newton.cli as cli
 from lazy_newton.cli import _build_parser, main, parse_grid_spec, parse_scene_config
 from lazy_newton.errors import ConfigError
-from lazy_newton.evaluator import AdaptiveSimpson, GaussLegendre, scene_potential_field
+from lazy_newton.evaluator import CHUNK, AdaptiveSimpson, GaussLegendre, scene_potential_field
 
 
 def scene_doc():
@@ -270,18 +271,17 @@ class TestScenarioCommand:
 
 
 class TestFieldCommand:
-    def run_field(self, tmp_path, monkeypatch, fmt="csv", scene=None, grid=None, name="map"):
+    def run_field(self, tmp_path, fmt="csv", scene=None, grid=None, name="map"):
         cfg = write_json(tmp_path / "scene.json", scene or scene_doc())
         grd = write_json(tmp_path / "grid.json", grid or grid_doc())
         out = tmp_path / f"{name}.{fmt}"
-        monkeypatch.delenv("LAZY_NEWTON_THREADS", raising=False)
         code = main(
             ["field", "--config", cfg, "--grid", grd, "--format", fmt, "--out", str(out)]
         )
         return code, out
 
-    def test_csv_shape_and_round_trip(self, tmp_path, monkeypatch):
-        code, out = self.run_field(tmp_path, monkeypatch)
+    def test_csv_shape_and_round_trip(self, tmp_path):
+        code, out = self.run_field(tmp_path)
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,x,y,z,phi,gx,gy,gz"
@@ -293,8 +293,8 @@ class TestFieldCommand:
             for cell in cells:
                 assert repr(float(cell)) == cell
 
-    def test_json_format(self, tmp_path, monkeypatch):
-        code, out = self.run_field(tmp_path, monkeypatch, fmt="json")
+    def test_json_format(self, tmp_path):
+        code, out = self.run_field(tmp_path, fmt="json")
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["schema_version"] == 1
@@ -312,13 +312,13 @@ class TestFieldCommand:
             "tau_g_s": 1e-3,
         }
 
-    def test_singular_point_masks_row_and_exits_1(self, tmp_path, monkeypatch, capsys):
+    def test_singular_point_masks_row_and_exits_1(self, tmp_path, capsys):
         grid = {
             "origin": [0.0, 0.0, 0.0],
             "axes": [{"direction": [0, 0, 1], "extent_m": 1.0, "count": 2}],
             "times": [1e-4],
         }
-        code, out = self.run_field(tmp_path, monkeypatch, scene=self.singular_scene(), grid=grid)
+        code, out = self.run_field(tmp_path, scene=self.singular_scene(), grid=grid)
         assert code == 1
         assert "softening guard" in capsys.readouterr().err
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
@@ -326,17 +326,17 @@ class TestFieldCommand:
         # the clean point on the same grid still carries finite values
         assert math.isfinite(float(rows[1][4]))
 
-    def test_singular_point_is_null_in_json(self, tmp_path, monkeypatch, capsys):
+    def test_singular_point_is_null_in_json(self, tmp_path, capsys):
         grid = {"origin": [0.0, 0.0, 0.0], "axes": [], "times": [1e-4]}
         code, out = self.run_field(
-            tmp_path, monkeypatch, fmt="json", scene=self.singular_scene(), grid=grid
+            tmp_path, fmt="json", scene=self.singular_scene(), grid=grid
         )
         assert code == 1
         capsys.readouterr()
         doc = json.loads(out.read_text())
         assert doc["rows"][0][4] is None
 
-    def test_formats_match_per_value_formatting(self, tmp_path, monkeypatch, capsys):
+    def test_formats_match_per_value_formatting(self, tmp_path, capsys):
         # the formatter a map used to go through: one tuple of numpy scalars
         # per row, each value converted on its own
         def reference(scene, grid, fmt):
@@ -373,7 +373,7 @@ class TestFieldCommand:
         for grid, warning in ((grid, "2 of 18 rows"), (tilted, "3 of 36 rows")):
             for fmt in ("csv", "json"):
                 code, out = self.run_field(
-                    tmp_path, monkeypatch, fmt=fmt, scene=self.singular_scene(), grid=grid
+                    tmp_path, fmt=fmt, scene=self.singular_scene(), grid=grid
                 )
                 assert code == 1  # the grid point on the source is a nan row at each time
                 assert out.read_bytes() == reference(self.singular_scene(), grid, fmt).encode()
@@ -393,23 +393,40 @@ class TestFieldCommand:
             },
         )
         outputs = []
-        for threads in ("1", "6"):
-            out = tmp_path / f"map-{threads}.csv"
-            monkeypatch.setenv("LAZY_NEWTON_THREADS", threads)
+        # the variable is accepted and ignored: no value changes the bytes or fails
+        for k, value in enumerate(("1", "6", "abc", "-1", None)):
+            out = tmp_path / f"map-{k}.csv"
+            if value is None:
+                monkeypatch.delenv("LAZY_NEWTON_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LAZY_NEWTON_THREADS", value)
             assert main(["field", "--config", cfg, "--grid", grd, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert len(set(outputs)) == 1
 
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_map_of_many_blocks_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
         cfg = write_json(tmp_path / "scene.json", scene_doc())
-        grd = write_json(tmp_path / "grid.json", grid_doc())
-        for bad in ("abc", "-1"):
-            monkeypatch.setenv("LAZY_NEWTON_THREADS", bad)
-            assert main(["field", "--config", cfg, "--grid", grd]) == 2
-        capsys.readouterr()
+        grd = write_json(
+            tmp_path / "grid.json",
+            {
+                "origin": [0.0, 0.0, 2.0],
+                "axes": [
+                    {"direction": [1, 0, 0], "extent_m": 1.0, "count": 24},
+                    {"direction": [0, 1, 0], "extent_m": 1.0, "count": 24},
+                ],
+                "times": [5e-4],
+            },
+        )
+        assert 24 * 24 > CHUNK
+        monkeypatch.setenv("LAZY_NEWTON_THREADS", "4")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "map.csv"
+        assert main(["field", "--config", cfg, "--grid", grd, "--out", str(out)]) == 0
 
-    def test_missing_or_invalid_config_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("LAZY_NEWTON_THREADS", raising=False)
+    def test_missing_or_invalid_config_exits_2(self, tmp_path, capsys):
         grd = write_json(tmp_path / "grid.json", grid_doc())
         assert main(["field", "--config", str(tmp_path / "none.json"), "--grid", grd]) == 2
         broken = tmp_path / "broken.json"

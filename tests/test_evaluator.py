@@ -673,17 +673,21 @@ class TestSceneEvaluation:
         assert np.isnan(phi[1]) and np.isnan(grad[1]).all()
         assert np.isfinite(phi[[0, 2]]).all() and np.isfinite(grad[[0, 2]]).all()
 
-    def test_thread_count_does_not_change_bytes(self):
+    def test_point_order_does_not_change_bytes(self):
+        # reversed, the 1100 points fall in other blocks and tiles; no panel
+        # splits, so each row depends on its own point alone
         sources, amb = self.scene()
         params = KernelParams(1e-3)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2, 2, (1100, 3)) + np.array([0.0, 0.0, 4.0])
-        phi1, grad1, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
-        phi5, grad5, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=5)
-        assert phi1.tobytes() == phi5.tobytes()
-        assert grad1.tobytes() == grad5.tobytes()
+        scene = prepare_scene(sources, amb, 0.0, params)
+        assert _split_counts(scene, _tile(pts, scene.coords)[2]).max() == 1
+        phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
+        phi_rev, grad_rev, _ = scene_potential_field(sources, amb, pts[::-1], 0.0, params)
+        assert phi.tobytes() == phi_rev[::-1].tobytes()
+        assert grad.tobytes() == grad_rev[::-1].tobytes()
 
-    def test_thread_count_does_not_change_bytes_of_a_split_map(self):
+    def test_split_map_matches_its_blocks(self):
         # a map on the plane of a fast orbit: rows near its past path fall in
         # three of the four blocks and in many row tiles, and split panels
         sources = [
@@ -697,9 +701,12 @@ class TestSceneEvaluation:
         scene = prepare_scene(sources, amb, 0.0, params)
         rows = _tile_rows(scene.coords.shape[1])
         split_panels, split_blocks, split_tiles = 0, set(), set()
+        block_phi, block_grad = [], []
         for lo in range(0, len(pts), CHUNK):
             block = pts[lo:lo + CHUNK]
-            _, _, singular, m = _eval_block(scene, block)
+            phi, grad, singular, m = _eval_block(scene, block)
+            block_phi.append(phi)
+            block_grad.append(grad)
             # the block's split is the largest need of any point, skipped rows included
             counts = _split_counts(scene, _tile(block, scene.coords)[2])
             assert not singular.any()
@@ -710,10 +717,10 @@ class TestSceneEvaluation:
                 split_tiles.add((lo, row // rows))
         assert split_panels > 0
         assert len(split_blocks) >= 3 and len(split_tiles) >= 6
-        phi1, grad1, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
-        phi4, grad4, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=4)
-        assert phi1.tobytes() == phi4.tobytes()
-        assert grad1.tobytes() == grad4.tobytes()
+        # the map is its CHUNK-point blocks evaluated one by one
+        phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
+        assert phi.tobytes() == np.concatenate(block_phi).tobytes()
+        assert grad.tobytes() == np.concatenate(block_grad).tobytes()
 
     def test_tile_rows_do_not_change_bytes(self, monkeypatch):
         # K-derived tiles (here 2 x 83 nodes: 49 rows) against 16-row tiles,
@@ -729,9 +736,9 @@ class TestSceneEvaluation:
         scene = prepare_scene(sources, amb, 0.0, params)
         assert _tile_rows(scene.coords.shape[1]) > TILE
         assert np.any(_eval_block(scene, pts[:CHUNK])[3] > 1)
-        phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
+        phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
         monkeypatch.setattr(evaluator, "_tile_rows", lambda k: TILE)
-        phi16, grad16, _ = scene_potential_field(sources, amb, pts, 0.0, params, threads=1)
+        phi16, grad16, _ = scene_potential_field(sources, amb, pts, 0.0, params)
         assert phi.tobytes() == phi16.tobytes()
         assert grad.tobytes() == grad16.tobytes()
 
