@@ -20,7 +20,9 @@ from .evaluator import (
     delayed_potential_naive,
     kernel_weights,
     prepare_scene,
+    prepare_scenes,
     scene_potential_field,
+    scene_potential_fields,
     superposed_potential,
 )
 from .frames import (
@@ -30,6 +32,7 @@ from .frames import (
     UniformField,
     ZeroField,
     build_frame,
+    build_frames,
     nongrav_accel,
     relative_source_path,
 )
@@ -77,6 +80,7 @@ __all__ = [
     "FreeFallFrame",
     "nongrav_accel",
     "build_frame",
+    "build_frames",
     "relative_source_path",
     "GaussLegendre",
     "AdaptiveSimpson",
@@ -88,7 +92,9 @@ __all__ = [
     "delayed_field",
     "superposed_potential",
     "prepare_scene",
+    "prepare_scenes",
     "scene_potential_field",
+    "scene_potential_fields",
     "ScenarioReport",
     "ShiftFit",
     "probe_shell",

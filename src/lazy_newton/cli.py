@@ -24,7 +24,7 @@ from .evaluator import (
     GaussLegendre,
     KernelParams,
     Source,
-    scene_potential_field,
+    scene_potential_fields,
 )
 from .frames import PointMassField, UniformField, ZeroField
 from .kinematics import (
@@ -310,15 +310,6 @@ class GridSpec:
     axes: list  # of (unit direction [3], extent m, count)
     times: list
 
-    def to_dict(self):
-        return {
-            "origin": list(self.origin),
-            "axes": [
-                {"direction": list(d), "extent_m": e, "count": c} for d, e, c in self.axes
-            ],
-            "times": list(self.times),
-        }
-
     def points(self):
         """Lattice points, axis-lexicographic (last axis fastest)."""
         origin = np.asarray(self.origin)
@@ -496,14 +487,9 @@ def _cmd_field(args):
     grid = parse_grid_spec(grid_doc)
 
     points = grid.points()
-    slices = []
-    singular_rows = 0
-    for t in grid.times:
-        phi, grad, singular = scene_potential_field(
-            scene.sources, scene.ambient, points, t, scene.params
-        )
-        singular_rows += int(singular.sum())
-        slices.append((t, np.column_stack([phi, grad])))
+    fields = scene_potential_fields(scene.sources, scene.ambient, points, grid.times, scene.params)
+    singular_rows = sum(int(singular.sum()) for _, _, singular in fields)
+    slices = [(t, np.column_stack([phi, grad])) for t, (phi, grad, _) in zip(grid.times, fields)]
     text = (_format_csv if args.format == "csv" else _format_json)(points, slices)
     _emit(text, args.out)
     if singular_rows:

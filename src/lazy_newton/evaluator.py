@@ -19,12 +19,14 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from functools import cache, lru_cache, partial
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import G
 from .errors import AdaptiveBudgetExceeded, SingularApproach
-from .frames import build_frame, relative_source_path
+from .frames import build_frames, relative_source_path
 from .kinematics import as_vec3
 
 __all__ = [
@@ -40,7 +42,9 @@ __all__ = [
     "superposed_potential",
     "PreparedScene",
     "prepare_scene",
+    "prepare_scenes",
     "scene_potential_field",
+    "scene_potential_fields",
 ]
 
 # grid points per evaluation block. A panel splits for at most one block of
@@ -147,7 +151,7 @@ class Source:
 
 @dataclass(frozen=True, eq=False)
 class KernelNodes:
-    """Fixed quadrature nodes for the kernel integral; iterates as (tau, weight) pairs.
+    """Fixed quadrature nodes for the kernel integral.
 
     Weights absorb the exponential density, so sum(weights) equals the kernel
     mass on [0, t_max], 1 - e^(-t_max_factor), to within an ulp wherever the
@@ -164,9 +168,6 @@ class KernelNodes:
     @property
     def n_segments(self):
         return self.edges.size - 1
-
-    def __iter__(self):
-        return iter(zip(self.taus, self.weights))
 
     def __len__(self):
         return self.taus.size
@@ -306,6 +307,16 @@ def _clean_breakpoints(breakpoints, t_max):
     return out
 
 
+def _panel_length(params, turn_rate):
+    """Longest panel of a table: ``max_segment_tau_g`` time constants, cut to
+    MAX_TURN radians of a path winding at ``turn_rate``, down to 1 / MAX_SPLIT
+    of that."""
+    max_seg = params.quadrature.max_segment_tau_g * params.tau_g
+    if turn_rate * max_seg > MAX_TURN:
+        max_seg = max(MAX_TURN / turn_rate, max_seg / MAX_SPLIT)
+    return max_seg
+
+
 def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     """Node/weight table covering [0, t_max], split at the given kernel lags.
 
@@ -326,9 +337,7 @@ def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
         raise ValueError("kernel_weights needs the fixed-node GaussLegendre scheme")
     t_max = params.t_max
     bounds = [0.0] + _clean_breakpoints(breakpoints, t_max) + [t_max]
-    max_seg = spec.max_segment_tau_g * params.tau_g
-    if turn_rate * max_seg > MAX_TURN:
-        max_seg = max(MAX_TURN / turn_rate, max_seg / MAX_SPLIT)
+    max_seg = _panel_length(params, turn_rate)
     # panel edges: each [a, b] split evenly into panels of at most max_seg
     edges = np.concatenate([
         np.linspace(a, b, max(1, math.ceil((b - a) / max_seg - 1e-12)) + 1)[:-1]
@@ -402,65 +411,143 @@ def _tau_breakpoints(trajectory, t, params):
     return [t - s for s in trajectory.breakpoints_in(t - params.t_max, t)]
 
 
-def _naive(source, path=None):
-    """(source, path, shift, turn rate) of the naive form: a lab path, no shift.
+def _lab_path(path, s, which=None):
+    return path(s)
+
+
+def _naive(source, count=1, path=None):
+    """(source, path, shifts, frame) of the naive form at ``count`` times: a lab path, no shift, no frame.
 
     A caller's ``path`` is taken to wind no faster than the trajectory.
     """
     traj = source.trajectory
-    return source, traj.position if path is None else path, 0.0, traj.turn_rate
+    return source, partial(_lab_path, traj.position if path is None else path), np.zeros((count, 3)), None
 
 
-def _framed(source, ambient, t, params):
-    """(source, path, shift, turn rate) of ``source`` seen from its free-fall frame matched at t."""
-    if params.tau_g == 0.0:  # no look-back: only the lab position at t matters
-        return _naive(source)
-    traj = source.trajectory
-    frame = build_frame(traj, ambient, t, params.t_max)
-    path = partial(relative_source_path, frame, traj)
-    return source, path, frame.match_origin, max(traj.turn_rate, frame.turn_rate)
+def _framed(sources, ambient, times, params):
+    """(source, path, shifts, frame) of each source seen from its free-fall frames matched at ``times``.
 
-
-def _path_nodes(source, path, shift, turn_rate, t, params):
-    """Effective node masses of one source, and the coarse panels they fill.
-
-    The node at lag tau sits at path(t - tau) + shift and carries -G M times
-    its kernel weight. The naive route passes the lab path and no shift; the
-    framed route passes the frame-relative path and the frame origin at t.
-    Returns node positions, weights and lags, then per panel its node count,
-    its lag edges (P, 2), the length of the polyline through its nodes and
-    two end points, and that polyline's longest step. The end points sit
-    halfway between the panel's edges and its outermost nodes, on the
-    panel's own side of any jump in the path.
+    ``path(s, which)`` is the source's path relative to the frame of
+    times[which], and shifts[which] that frame's origin at its match time.
+    Each source builds its frames for all times at once. A frame whose path
+    enters the ambient guard raises SingularApproach for the earliest such
+    time, and there for the first such source, as framing the times one by
+    one would.
     """
+    if params.tau_g == 0.0:  # no look-back: only the lab position at t matters
+        return [_naive(src, len(times)) for src in sources]
+    frames = [build_frames(src.trajectory, ambient, times, params.t_max) for src in sources]
+    inside = [frame.inside_guard for frame in frames]
+    if any(x.any() for x in inside):
+        i, k = divmod(int(np.argmax(np.array(inside).T)), len(frames))
+        raise frames[k].guard_error(i)
+    return [(src, partial(relative_source_path, frame, src.trajectory), frame.match_origin, frame)
+            for src, frame in zip(sources, frames)]
+
+
+def _turn_rates(traj, frame, params, count):
+    """Turn rate each of ``count`` node tables is built for: the trajectory's or, if faster, the frame's.
+
+    The frame's exact rate may need a Kepler solve at the window start.
+    Where even its bound (FreeFallFrame.turn_rate_bound) leaves the
+    trajectory's panel length, the bound stands in: it gives the same table.
+    """
+    if frame is None:
+        return [traj.turn_rate] * count
+    rates = np.maximum(traj.turn_rate, frame.turn_rate_bound)
+    length = _panel_length(params, traj.turn_rate)
+    if any(_panel_length(params, rate) != length for rate in rates.tolist()):
+        rates = np.maximum(traj.turn_rate, frame.turn_rate)
+    return rates
+
+
+def _at(framed, i):
+    """The (source, path, shift) of each source at time index i of _framed."""
+    return [(src, partial(path, which=i), shifts[i]) for src, path, shifts, _ in framed]
+
+
+class _Table(NamedTuple):
+    nodes: KernelNodes
+    sizes: np.ndarray  # (P,), nodes per panel
+    first: np.ndarray  # (P,), index of each panel's first node
+    last: np.ndarray  # (P,), and of its last node
+    edges: np.ndarray  # (P, 2), lag interval of each panel
+    lo_ends: np.ndarray  # (P,), lag halfway between each panel's start and its first node
+    hi_ends: np.ndarray  # (P,), and between its last node and its end
+
+
+def _table(tables, params, breakpoints, turn_rate):
+    """Node table for these breakpoints and turn rate, with its panels' end-point lags.
+
+    ``tables`` holds one per (breakpoints, panel length), which fix the table.
+    """
+    key = (tuple(_clean_breakpoints(breakpoints, params.t_max)), _panel_length(params, turn_rate))
+    if key not in tables:
+        nodes = kernel_weights(params, breakpoints, turn_rate=turn_rate)
+        taus, s = nodes.taus, nodes.starts
+        first, last = s[:-1], s[1:] - 1
+        lo, hi = nodes.edges[:-1], nodes.edges[1:]
+        tables[key] = _Table(nodes, np.diff(s), first, last, np.column_stack([lo, hi]),
+                             0.5 * (lo + taus[first]), 0.5 * (hi + taus[last]))
+    return tables[key]
+
+
+def _path_nodes(source, path, shifts, frame, times, params, tables):
+    """Effective node masses of one source at each time, and the coarse panels they fill.
+
+    The node at lag tau of times[i] sits at path(times[i] - tau, i) +
+    shifts[i] and carries -G M times its kernel weight. The naive route
+    passes the lab path, no shift and no frame; the framed route passes the
+    frame-relative path, the frame origins and the frame, whose turn rate
+    (_turn_rates) shortens the panels. One path call covers every
+    node and panel end point of every time, and ``tables`` (see _table)
+    shares node tables between times and sources. Returns, per time, node
+    positions, weights and lags, then per panel its node count, its lag
+    edges (P, 2), the length of the polyline through its nodes and two end
+    points, and that polyline's longest step. The end points sit halfway
+    between the panel's edges and its outermost nodes, on the panel's own
+    side of any jump in the path.
+    """
+    count = len(times)
+    coef = -G * source.mass
     if params.tau_g == 0.0:
+        at = path(np.array(times), np.arange(count)) + shifts
         no_panels = np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0)
-        return path(t)[None, :] + shift, np.array([-G * source.mass]), np.zeros(1), *no_panels
-    bps = _tau_breakpoints(source.trajectory, t, params)
-    nodes = kernel_weights(params, bps, turn_rate=turn_rate)
-    k, p, s, taus = nodes.taus.size, nodes.n_segments, nodes.starts, nodes.taus
-    lo, hi = nodes.edges[:-1], nodes.edges[1:]
-    first, last = s[:-1], s[1:] - 1  # each panel's outermost nodes
-    ends = np.concatenate([0.5 * (lo + taus[first]), 0.5 * (hi + taus[last])])
-    at = path(t - np.concatenate([taus, ends]))  # one path call
+        return [(at[i:i + 1], np.array([coef]), np.zeros(1), *no_panels) for i in range(count)]
+    tabs = [_table(tables, params, _tau_breakpoints(source.trajectory, t, params), rate)
+            for t, rate in zip(times, _turn_rates(source.trajectory, frame, params, count))]
+    ks, ps = [tab.nodes.taus.size for tab in tabs], [tab.sizes.size for tab in tabs]
+    node_at, panel_at = [0, *accumulate(ks)], [0, *accumulate(ps)]
+    k, p = node_at[-1], panel_at[-1]
+    # every time's nodes, then every panel's first and last end points
+    which = np.repeat(np.arange(3 * count) % count, ks + ps + ps)
+    lags = np.concatenate([tab.nodes.taus for tab in tabs] + [tab.lo_ends for tab in tabs]
+                          + [tab.hi_ends for tab in tabs])
+    at = path(np.array(times)[which] - lags, which)  # one path call
     pts = at[:k]
+    first = np.concatenate([tab.first + o for tab, o in zip(tabs, node_at)])
+    last = np.concatenate([tab.last + o for tab, o in zip(tabs, node_at)])
     # polyline steps: node to node, then each panel's first end point to its
     # first node and its last node to its last end point
     d = np.concatenate([np.diff(pts, axis=0), pts[first] - at[k:k + p], at[k + p:] - pts[last]])
     steps = np.sqrt(np.einsum("ij,ij->i", d, d))
     steps[last[:-1]] = 0.0  # from one panel's last node to the next panel's first
-    inner, ends = steps[:k - 1], steps[k - 1:].reshape(2, p)
-    lengths = np.add.reduceat(inner, first) + ends[0] + ends[1]
-    gaps = np.maximum(np.maximum.reduceat(inner, first), ends.max(axis=0))
-    edges = np.column_stack([lo, hi])
-    weights = -G * source.mass * nodes.weights
-    return pts + shift, weights, taus, np.diff(s), edges, lengths, gaps
+    # drop the steps between times, so each time's panels sum as on their own
+    inner = np.concatenate([steps[a:b - 1] for a, b in zip(node_at, node_at[1:])])
+    ends = steps[k - 1:].reshape(2, p)
+    at_panel = first - which[k:k + p]
+    lengths = np.add.reduceat(inner, at_panel) + ends[0] + ends[1]
+    gaps = np.maximum(np.maximum.reduceat(inner, at_panel), ends.max(axis=0))
+    positions = pts + shifts[which[:k]]
+    return [(positions[node_at[i]:node_at[i + 1]], coef * tab.nodes.weights, tab.nodes.taus,
+             tab.sizes, tab.edges, lengths[panel_at[i]:panel_at[i + 1]], gaps[panel_at[i]:panel_at[i + 1]])
+            for i, tab in enumerate(tabs)]
 
 
 def _adaptive_point(framed, r, t, params):
     """Adaptive-Simpson (potential, field x, y, z) at one point, summed over sources.
 
-    ``framed`` holds (source, path, shift, turn rate) as for _path_nodes.
+    ``framed`` holds (source, path, shift) as _at gives it.
     The rule picks its own nodes per integrand, so it cross-checks the
     node-table route rather than sharing its errors. Each step's new lags go
     to the path in one call.
@@ -468,7 +555,7 @@ def _adaptive_point(framed, r, t, params):
     tau_g = params.tau_g
     eps = params.softening_eps
     total = np.zeros(4)
-    for i, (src, path, shift, _) in enumerate(framed):
+    for i, (src, path, shift) in enumerate(framed):
 
         def f(taus, mass=src.mass, path=path, rel=r - shift, i=i):
             taus = np.asarray(taus, dtype=float)
@@ -524,8 +611,8 @@ class PreparedScene:
         return self.coords.T
 
 
-def _scene(framed, t, params):
-    parts = [_path_nodes(*f, t, params) for f in framed]
+def _scene(parts, framed, t, params):
+    """PreparedScene at time t from each source's _path_nodes at t and its _at view of _framed."""
     # the empty arrays keep a source-free scene well formed
     empty = (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
              np.zeros((0, 2)), np.zeros(0), np.zeros(0))
@@ -534,19 +621,40 @@ def _scene(framed, t, params):
     counts = tuple(len(p[1]) for p in parts)
     starts = np.concatenate([[0], np.cumsum(sizes)])
     sources = np.repeat(np.arange(len(parts)), [len(p[4]) for p in parts])
-    paths = tuple((path, shift, -G * src.mass) for src, path, shift, _ in framed)
+    paths = tuple((path, shift, -G * src.mass) for src, path, shift in framed)
     coords = np.ascontiguousarray(positions.T)
     return PreparedScene(
         coords, weights, lags, counts, starts, edges, lengths, gaps, sources, paths, t, params
     )
 
 
-def prepare_scene(sources, ambient, t, params):
-    """Collapse every source to its effective kernel-node masses at time t."""
+def _scenes(framed, times, params):
+    """One PreparedScene per time from _framed; equal node tables are built once."""
+    tables = {}
+    parts = [_path_nodes(*f, times, params, tables) for f in framed]
+    return [_scene([p[i] for p in parts], _at(framed, i), t, params) for i, t in enumerate(times)]
+
+
+def prepare_scenes(sources, ambient, times, params):
+    """Collapse every source to its effective kernel-node masses at each of ``times``.
+
+    Returns one PreparedScene per time. Each source's frames, node positions
+    and panel polylines are computed for all times at once, and times and
+    sources whose tables share breakpoints and panel length share one table.
+    A scene is the same, bit for bit, whichever other times it was prepared
+    with.
+    """
     if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
         raise ValueError("scene preparation needs a fixed node table; use GaussLegendre")
-    t = float(t)
-    return _scene([_framed(src, ambient, t, params) for src in sources], t, params)
+    times = [float(t) for t in times]
+    if not times:
+        return []
+    return _scenes(_framed(sources, ambient, times, params), times, params)
+
+
+def prepare_scene(sources, ambient, t, params):
+    """Collapse every source to its effective kernel-node masses at time t: prepare_scenes at one time."""
+    return prepare_scenes(sources, ambient, [t], params)[0]
 
 
 def _split_counts(scene, r):
@@ -691,26 +799,34 @@ def _guard_hit(scene, pt, m):
     return _guard_error(float(r[k]), scene.t - float(lags[k]), eps, int(sources[k]))
 
 
-def _values(framed, pts, t, params):
-    """Potential (n,), field (n, 3) and the evaluated table at points.
+def _scene_values(scene, pts):
+    """Potential (n,), field (n, 3) and the evaluated table of one prepared scene at points.
 
-    ``framed`` holds (source, path, shift, turn rate) as for _path_nodes;
-    one node table per source serves every point, split near the path as
-    _eval_block decides. The table is (nodes, panels, split panels) summed
-    over sources, all zero without a Gauss-Legendre kernel. A guard hit
-    raises SingularApproach describing the nearest node the first guarded
+    The table is (nodes, panels, split panels) summed over sources. A guard
+    hit raises SingularApproach describing the nearest node the first guarded
     point was evaluated with, sub-panel nodes included.
     """
-    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
-        out = np.array([_adaptive_point(framed, r, t, params) for r in pts]).reshape(-1, 4)
-        return out[:, 0], out[:, 1:], (0, 0, 0)
-    scene = _scene(framed, t, params)
     phi, grad, singular, m = _eval_block(scene, pts)
     if singular.any():
         raise _guard_hit(scene, pts[np.argmax(singular)], m)
-    order = getattr(params.quadrature, "order", 0)
+    order = getattr(scene.params.quadrature, "order", 0)
     nodes = int(np.where(m > 1, m * order, np.diff(scene.starts)).sum())
     return phi, grad, (nodes, int(m.sum()), int(np.sum(m > 1)))
+
+
+def _values(framed, points, times, params):
+    """Per time, potential (n,), field (n, 3) and the evaluated table at that time's points.
+
+    ``framed`` is as _framed returns it and ``points`` holds one (n, 3)
+    array per time; one node table per source and time serves every point
+    of that time, split near the path as _eval_block decides (see
+    _scene_values). The table is all zero without a Gauss-Legendre kernel.
+    """
+    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
+        out = [np.array([_adaptive_point(_at(framed, i), r, t, params) for r in pts]).reshape(-1, 4)
+               for i, (t, pts) in enumerate(zip(times, points))]
+        return [(o[:, 0], o[:, 1:], (0, 0, 0)) for o in out]
+    return [_scene_values(scene, pts) for scene, pts in zip(_scenes(framed, times, params), points)]
 
 
 def delayed_potential_naive(source, r, t, params, *, path=None):
@@ -727,7 +843,7 @@ def delayed_potential_naive(source, r, t, params, *, path=None):
         path = source.trajectory.position
     if params.tau_g == 0.0:
         return _instantaneous(source.mass, path(t), r, params.softening_eps)[0]
-    return float(_values([_naive(source, path)], r[None, :], t, params)[0][0])
+    return float(_values([_naive(source, path=path)], [r[None, :]], [t], params)[0][0][0])
 
 
 def _framed_point(source, ambient, r, t, params):
@@ -735,7 +851,7 @@ def _framed_point(source, ambient, r, t, params):
     t = float(t)
     if params.tau_g == 0.0:
         return _instantaneous(source.mass, source.trajectory.position(t), r, params.softening_eps)
-    phi, grad, _ = _values([_framed(source, ambient, t, params)], r[None, :], t, params)
+    phi, grad, _ = _values(_framed([source], ambient, [t], params), [r[None, :]], [t], params)[0]
     return float(phi[0]), grad[0]
 
 
@@ -759,8 +875,8 @@ def superposed_potential(sources, ambient, r, t, params):
     A guard hit names the offending source in SingularApproach.source_index.
     """
     t = float(t)
-    framed = [_framed(src, ambient, t, params) for src in sources]
-    return float(_values(framed, as_vec3(r, "r")[None, :], t, params)[0][0])
+    framed = _framed(sources, ambient, [t], params)
+    return float(_values(framed, [as_vec3(r, "r")[None, :]], [t], params)[0][0][0])
 
 
 def _adaptive_block(framed, t, params, pts):
@@ -775,31 +891,43 @@ def _adaptive_block(framed, t, params, pts):
     return out[:, 0], out[:, 1:], singular, np.zeros(0, dtype=int)
 
 
-def scene_potential_field(sources, ambient, points, t, params, threads=None):
-    """Potential and field of a scene on many points at one time.
+def scene_potential_fields(sources, ambient, points, times, params):
+    """Potential and field of a scene on many points at each of ``times``.
 
-    Returns (phi (n,), grad (n,3), singular (n,) bool). Points inside the
-    guard radius of any effective node produce nan rows and a True mask
-    entry instead of raising, so grid sweeps can report and continue.
-    Points run in blocks of CHUNK, one after another on the calling thread,
-    so identical inputs give byte-identical outputs. ``threads`` is ignored;
-    it is accepted so that callers that still pass a thread count keep working.
+    Returns one (phi (n,), grad (n,3), singular (n,) bool) per time. Points
+    inside the guard radius of any effective node produce nan rows and a
+    True mask entry instead of raising, so grid sweeps can report and
+    continue. The scenes of all times are prepared in one batch
+    (prepare_scenes), then each time's points run in blocks of CHUNK, one
+    after another on the calling thread, so identical inputs give
+    byte-identical outputs, and each time's rows are the same whichever
+    other times share the call.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
-    t = float(t)
-    n = pts.shape[0]
-    phi = np.empty(n)
-    grad = np.empty((n, 3))
-    singular = np.zeros(n, dtype=bool)
-
+    times = [float(t) for t in times]
     if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
-        framed = [_framed(src, ambient, t, params) for src in sources]
-        block = partial(_adaptive_block, framed, t, params)
+        framed = _framed(sources, ambient, times, params)
+        blocks = [partial(_adaptive_block, _at(framed, i), t, params) for i, t in enumerate(times)]
     else:
-        block = partial(_eval_block, prepare_scene(sources, ambient, t, params))
-    for lo in range(0, n, CHUNK):
-        rows = slice(lo, lo + CHUNK)
-        phi[rows], grad[rows], singular[rows], _ = block(pts[rows])
-    return phi, grad, singular
+        blocks = [partial(_eval_block, scene) for scene in prepare_scenes(sources, ambient, times, params)]
+    out = []
+    for block in blocks:
+        phi, grad = np.empty(pts.shape[0]), np.empty(pts.shape)
+        singular = np.zeros(pts.shape[0], dtype=bool)
+        for lo in range(0, pts.shape[0], CHUNK):
+            rows = slice(lo, lo + CHUNK)
+            phi[rows], grad[rows], singular[rows], _ = block(pts[rows])
+        out.append((phi, grad, singular))
+    return out
+
+
+def scene_potential_field(sources, ambient, points, t, params, threads=None):
+    """Potential and field of a scene on many points at one time: scene_potential_fields at time t.
+
+    Returns (phi (n,), grad (n,3), singular (n,) bool). ``threads`` is
+    ignored; it is accepted so that callers that still pass a thread count
+    keep working.
+    """
+    return scene_potential_fields(sources, ambient, points, [t], params)[0]

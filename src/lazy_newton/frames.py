@@ -28,6 +28,7 @@ __all__ = [
     "FreeFallFrame",
     "nongrav_accel",
     "build_frame",
+    "build_frames",
     "relative_source_path",
 ]
 
@@ -40,6 +41,7 @@ _SERIES = np.array([[(-1.0) ** k / math.factorial(2 * k + 2), (-1.0) ** k / math
 # up to twice the escape speed; 1e-15 would sit below the roundoff floor.
 _KEPLER_TOL = 1e-13
 _KEPLER_ITERATIONS = 50
+_ROUNDOFF = 8.0 * np.finfo(float).eps  # Kepler residual treated as converged, relative to its terms
 
 
 def _stumpff(z):
@@ -135,197 +137,303 @@ def nongrav_accel(traj, field, s):
     return traj.acceleration(s) - field.accel(traj.position(s))
 
 
-class FreeFallFrame:
-    """Origin path y(s) of a non-rotating frame in free fall with a source.
+def _rowdot(a, b):
+    """Dot products of the rows of (n, 3) arrays, each rounded as ``a[i] @ b[i]`` is."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    Covers s in [match_time - horizon, match_time] with y.. = ambient(y) and
-    terminal data y(t) = source position, y.(t) = source velocity. Zero and
-    uniform fields give the parabola of acceleration ``g``; a point mass gives
-    the Kepler conic, propagated exactly with the universal variable (Danby,
-    Fundamentals of Celestial Mechanics, 1988) and a capped Laguerre-Conway
-    iteration (Conway, Celestial Mechanics 39, 1986) that raises
-    ArithmeticError if it does not converge.
+
+def _universal(chi, r_t, alpha, sigma):
+    """C, S, the terms of sqrt(mu) * (s - match time), r and dr/dchi at anomaly chi.
+
+    Every argument is an array over lags, the conic elements those of each lag's match time.
+    """
+    beta = 1.0 - alpha * r_t
+    z = alpha * chi * chi
+    c, s = _stumpff(z)
+    terms = (sigma * chi * chi * c, beta * chi**3 * s, r_t * chi)
+    r = sigma * chi * (1.0 - z * s) + beta * chi * chi * c + r_t
+    dr = sigma * (1.0 - z * c) + beta * chi * (1.0 - z * s)
+    return c, s, terms, r, dr
+
+
+def _solve(chi, target, r_t, alpha, sigma):
+    """Universal anomaly at each lag from the starter chi, by Laguerre-Conway (n = 5).
+
+    A lag stops iterating once its step is below _KEPLER_TOL of the anomaly
+    or its Kepler residual is at the roundoff floor, so its value does not
+    depend on the other lags of the batch. Raises ArithmeticError if any lag
+    is still moving after _KEPLER_ITERATIONS steps.
+    """
+    out = np.empty_like(chi)
+    todo = np.arange(chi.size)
+    for _ in range(_KEPLER_ITERATIONS):
+        _, _, terms, r, dr = _universal(chi, r_t, alpha, sigma)
+        f = sum(terms) - target
+        # near the periapsis of an eccentric orbit the terms cancel, and
+        # roundoff in f alone moves chi by more than _KEPLER_TOL
+        floor = np.abs(f) <= _ROUNDOFF * (sum(map(np.abs, terms)) + np.abs(target))
+        step = 5.0 * f / (r + np.sqrt(np.abs(16.0 * r * r - 20.0 * f * dr)))
+        chi = chi - step
+        out[todo] = chi
+        going = ~(floor | (np.abs(step) <= _KEPLER_TOL * np.abs(chi)))
+        if not going.any():
+            return out
+        if not going.all():
+            todo, chi, target, r_t, alpha, sigma = (a[going] for a in (todo, chi, target, r_t, alpha, sigma))
+    raise ArithmeticError(f"Kepler propagation did not converge in {_KEPLER_ITERATIONS} iterations")
+
+
+class FreeFallFrame:
+    """Origin paths y(s) of non-rotating frames in free fall with a source, one per match time.
+
+    The frame matched at time t covers s in [t - horizon, t] with
+    y.. = ambient(y) and terminal data y(t) = source position, y.(t) = source
+    velocity. Zero and uniform fields give the parabola of acceleration
+    ``g``; a point mass gives the Kepler conic, propagated exactly with the
+    universal variable (Danby, Fundamentals of Celestial Mechanics, 1988) and
+    a capped Laguerre-Conway iteration (Conway, Celestial Mechanics 39, 1986)
+    that raises ArithmeticError if it does not converge.
+
+    ``match_times`` is a scalar or a 1-D array. Each query carries ``which``,
+    the index of the match time whose frame it asks (it may be omitted when
+    there is only one), so the queries of every match time solve in one batch.
+    A scalar match time gives scalar-shaped answers, as a trajectory does.
     """
 
-    def __init__(self, match_time, horizon, field, p_t, v_t, *, g=None):
-        self.match_time = float(match_time)
+    def __init__(self, match_times, horizon, field, p_t, v_t, *, g=None):
+        self.match_times, self._scalar = _times(match_times)
         self.horizon = float(horizon)
         self.field = field
-        self._p_t = p_t
-        self._v_t = v_t
+        self._p_t = np.asarray(p_t).reshape(-1, 3)
+        self._v_t = np.asarray(v_t).reshape(-1, 3)
         self._g = g
-        if g is None:  # Kepler conic about field.position
-            self._mu = G * field.mass
-            self._sqrt_mu = math.sqrt(self._mu)
-            self._rel_t = p_t - field.position
-            self._r_t = float(np.linalg.norm(self._rel_t))
-            self._alpha = 2.0 / self._r_t - float(v_t @ v_t) / self._mu  # 1 / semi-major axis
-            self._sigma = float(self._rel_t @ v_t) / self._sqrt_mu
-            self._h2 = float(np.sum(np.cross(self._rel_t, v_t) ** 2))  # |angular momentum|^2
-            self._e = math.sqrt(max(0.0, 1.0 - self._alpha * self._h2 / self._mu))
-            self._k = math.sqrt(abs(self._alpha))
-            # eccentric (ellipse) or hyperbolic anomaly at the match time; 0 on a parabola
-            self._anomaly = (math.atan2(self._sigma * self._k, 1.0 - self._alpha * self._r_t)
-                             if self._alpha > 0.0 else math.asinh(self._sigma * self._k / self._e))
-            self._period = 2.0 * math.pi / (self._sqrt_mu * self._k**3) if self._alpha > 0.0 else math.inf
+        if g is None:  # Kepler conics about field.position, one per match time
+            self._mu = mu = G * field.mass
+            self._sqrt_mu = sqrt_mu = math.sqrt(mu)
+            self._rel_t = rel = self._p_t - field.position
+            # a match point on the mass has no conic; build_frame refuses it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r_t = np.sqrt(_rowdot(rel, rel))
+                alpha = 2.0 / r_t - _rowdot(self._v_t, self._v_t) / mu  # 1 / semi-major axis
+                sigma = _rowdot(rel, self._v_t) / sqrt_mu
+                self._h2 = np.sum(np.cross(rel, self._v_t) ** 2, axis=1)  # |angular momentum|^2
+                e = np.sqrt(np.maximum(0.0, 1.0 - alpha * self._h2 / mu))
+                k = np.sqrt(np.abs(alpha))
+                sk, ar = sigma * k, 1.0 - alpha * r_t
+            # per match time: eccentric (ellipse) or hyperbolic anomaly at the
+            # match time (0 on a parabola), mean motion, mean anomaly there, period
+            per_time = []
+            for a, kk, ee, sk_, ar_ in zip(*(x.tolist() for x in (alpha, k, e, sk, ar))):
+                motion = sqrt_mu * kk**3
+                if a > 0.0:
+                    anomaly = math.atan2(sk_, ar_)
+                    per_time.append((anomaly, motion, anomaly - ee * math.sin(anomaly),
+                                     2.0 * math.pi / motion))
+                else:
+                    anomaly = math.asinh(sk_ / ee) if ee > 0.0 else math.nan
+                    per_time.append((anomaly, motion, ee * math.sinh(anomaly) - anomaly, math.inf))
+            anomaly, motion, mean, period = np.array(per_time, dtype=float).reshape(-1, 4).T
+            # one row per element, so a query gathers all of them in one step
+            self._el = np.array([r_t, alpha, sigma, e, k, anomaly, motion, mean, period])
         # edge slack for quadrature nodes landing a rounding error outside
-        self._slack = 1e-9 * max(1.0, abs(self.match_time), self.horizon)
+        self._slack = 1e-9 * np.maximum(np.maximum(1.0, np.abs(self.match_times)), self.horizon)
 
     @property
     def turn_rate(self):
-        """Fastest angular rate of the origin path over the window, in rad/s.
+        """Fastest angular rate of each match time's origin path over its window, in rad/s.
 
         That is h / r^2 at the closest approach to the mass inside the
         window: the periapsis if one falls there, else the nearer window end.
         A parabola frame has none (0); see Trajectory.turn_rate.
         """
         if self._g is not None:
-            return 0.0
+            return _unwrap(np.zeros(self.match_times.size), self._scalar)
         r = self._closest_approach[0]
-        return math.sqrt(self._h2) / (r * r)
+        return self._rates(r * r)
+
+    def _rates(self, r2):
+        """h / r2, and 0 on a radial path (h = 0), which may reach r = 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = np.sqrt(self._h2) / r2
+        return _unwrap(np.where(self._h2 > 0.0, rates, 0.0), self._scalar)
 
     @property
     def match_origin(self):
-        """Origin y(match_time): the source position there by construction, with no Kepler solve."""
-        return self._p_t.copy()
+        """Origin y at each match time: the source position there by construction, with no Kepler solve."""
+        return _unwrap(self._p_t.copy(), self._scalar)
 
-    def _clamped(self, s):
-        s, scalar = _times(s)
-        lo = self.match_time - self.horizon
-        if np.any(s < lo - self._slack) or np.any(s > self.match_time + self._slack):
-            raise ValueError(
-                f"frame queried outside [{lo:.6g}, {self.match_time:.6g}]"
-            )
-        return np.clip(s, lo, self.match_time), scalar
+    @property
+    def turn_rate_bound(self):
+        """An upper bound on turn_rate that needs no Kepler solve.
 
-    def _analytic(self, s, derivative):
-        dt = s - self.match_time
+        It is exact where the periapsis falls in the window. Elsewhere the
+        nearer window end is no closer than the periapsis distance q, up to
+        the propagation error, so the rate there is below twice h / q^2.
+        """
+        if self._g is not None:
+            return _unwrap(np.zeros(self.match_times.size), self._scalar)
+        lag, q = self._periapsis
+        return self._rates(q * q * np.where(lag <= self.horizon, 1.0, 0.5))
+
+    @property
+    def inside_guard(self):
+        """Whether each match time's path comes within the point mass's guard radius, (T,) bool.
+
+        A window without its periapsis is nearest the mass at one of its
+        ends, no nearer than the periapsis distance; its start is solved for
+        only where half that distance is inside the guard radius.
+        """
+        if self._g is not None:
+            return np.zeros(self.match_times.size, dtype=bool)
+        lag, q = self._periapsis
+        soft = self.field.softening
+        inside, periapsis = self._el[0] <= soft, lag <= self.horizon
+        if np.all(inside | periapsis | (q > 2.0 * soft)):
+            return inside | (periapsis & (q <= soft))
+        return self._closest_approach[0] <= soft
+
+    def guard_error(self, i):
+        """The SingularApproach that refuses the frame of match time i."""
+        distance, when = (float(a[i]) for a in self._closest_approach)
+        return SingularApproach(f"free-fall path came within {distance:.3e} m of the external "
+                                f"mass near s = {when:.6g} s", distance=distance, when=when)
+
+    def _analytic(self, s, derivative, which, dt):
         if derivative == 0:
-            return self._p_t + dt[:, None] * self._v_t + 0.5 * (dt * dt)[:, None] * self._g
+            return self._p_t[which] + dt[:, None] * self._v_t[which] + 0.5 * (dt * dt)[:, None] * self._g
         if derivative == 1:
-            return self._v_t + dt[:, None] * self._g
+            return self._v_t[which] + dt[:, None] * self._g
         return np.broadcast_to(self._g, (s.size, 3)).copy()
 
-    def _universal(self, chi):
-        """C, S, the terms of sqrt(mu) * (s - match_time), r and dr/dchi at anomaly chi."""
-        beta = 1.0 - self._alpha * self._r_t
-        z = self._alpha * chi * chi
-        c, s = _stumpff(z)
-        terms = (self._sigma * chi * chi * c, beta * chi**3 * s, self._r_t * chi)
-        r = self._sigma * chi * (1.0 - z * s) + beta * chi * chi * c + self._r_t
-        dr = self._sigma * (1.0 - z * c) + beta * chi * (1.0 - z * s)
-        return c, s, terms, r, dr
-
-    def _chi_guess(self, dt):
-        """Kepler starter: E ~ M + e sin M, or e sinh H ~ M (no overshoot into cosh overflow)."""
-        if self._alpha == 0.0:
-            return self._sqrt_mu * dt / self._r_t
-        k, e, anomaly = self._k, self._e, self._anomaly
-        mean = self._sqrt_mu * k**3 * dt
-        if self._alpha > 0.0:
-            mean += anomaly - e * math.sin(anomaly)
-            return (mean + e * np.sin(mean) - anomaly) / k
-        mean += e * math.sinh(anomaly) - anomaly
-        return (np.arcsinh(mean / e) - anomaly) / k
-
-    def _chi(self, dt):
-        """Universal anomaly at offsets dt from match_time, by Laguerre-Conway (n = 5)."""
-        chi = self._chi_guess(dt)
-        target = self._sqrt_mu * dt
-        for _ in range(_KEPLER_ITERATIONS):
-            _, _, terms, r, dr = self._universal(chi)
-            f = sum(terms) - target
-            # near the periapsis of an eccentric orbit the terms cancel, and
-            # roundoff in f alone moves chi by more than _KEPLER_TOL
-            floor = np.abs(f) <= 8.0 * np.finfo(float).eps * (sum(map(np.abs, terms)) + np.abs(target))
-            step = 5.0 * f / (r + np.sqrt(np.abs(16.0 * r * r - 20.0 * f * dr)))
-            chi = chi - step
-            if np.all(floor | (np.abs(step) <= _KEPLER_TOL * np.abs(chi))):
-                return chi
-        raise ArithmeticError(f"Kepler propagation did not converge in {_KEPLER_ITERATIONS} iterations")
-
-    def _kepler(self, s, derivative):
-        dt = s - self.match_time
-        if self._alpha > 0.0:  # the ellipse repeats: propagate at most half a period
-            dt = dt - self._period * np.round(dt / self._period)
-        chi = self._chi(dt)
-        c, s_, _, r, _ = self._universal(chi)
+    def _kepler(self, s, derivative, which, dt):
+        r_t, alpha, sigma, e, k, anomaly, motion, mean, period = self._el[:, which]
+        ell = alpha > 0.0
+        if ell.any():  # the ellipse repeats: propagate at most half a period
+            dt[ell] -= period[ell] * np.round(dt[ell] / period[ell])
+        # Kepler starter: E ~ M + e sin M, or e sinh H ~ M (no overshoot into cosh overflow)
+        mean = motion * dt + mean
+        with np.errstate(divide="ignore", invalid="ignore"):  # each lag keeps its own conic's branch
+            guess = np.where(ell, (mean + e * np.sin(mean) - anomaly) / k,
+                             np.where(alpha < 0.0, (np.arcsinh(mean / e) - anomaly) / k,
+                                      self._sqrt_mu * dt / r_t))
+        chi = _solve(guess, self._sqrt_mu * dt, r_t, alpha, sigma)
+        c, s_, _, r, _ = _universal(chi, r_t, alpha, sigma)
+        rel_t, v_t = self._rel_t[which], self._v_t[which]
         if derivative == 1:
-            f_dot = self._sqrt_mu / (r * self._r_t) * chi * (self._alpha * chi * chi * s_ - 1.0)
+            f_dot = self._sqrt_mu / (r * r_t) * chi * (alpha * chi * chi * s_ - 1.0)
             g_dot = 1.0 - chi * chi * c / r
-            return f_dot[:, None] * self._rel_t + g_dot[:, None] * self._v_t
-        f = 1.0 - chi * chi * c / self._r_t
+            return f_dot[:, None] * rel_t + g_dot[:, None] * v_t
+        f = 1.0 - chi * chi * c / r_t
         g = dt - chi**3 * s_ / self._sqrt_mu
-        rel = f[:, None] * self._rel_t + g[:, None] * self._v_t
+        rel = f[:, None] * rel_t + g[:, None] * v_t
         if derivative == 0:
             return rel + self.field.position
         return (-self._mu / r**3)[:, None] * rel
 
     @cached_property
-    def _closest_approach(self):
-        """Smallest distance to the mass over the window, and when it occurs."""
-        # universal anomaly of the periapsis nearest the match time, then the
+    def _periapsis(self):
+        """Lag back from each match time to its last periapsis, and the periapsis distance q."""
+        r_t, alpha, sigma, e, k, anomaly, _, _, period = self._el
+        # universal anomaly of the periapsis nearest each match time, then the
         # lag back to the last periapsis (% inf sends a future one to inf)
-        chi_p = -self._anomaly / self._k if self._alpha != 0.0 else -self._sigma
-        lag = -float(sum(self._universal(np.array([chi_p]))[2])[0]) / self._sqrt_mu % self._period
-        if lag <= self.horizon:
-            return self._h2 / (self._mu * (1.0 + self._e)), self.match_time - lag
-        start = self.match_time - self.horizon
-        r_start = float(np.linalg.norm(self.origin(start) - self.field.position))
-        return min((self._r_t, self.match_time), (r_start, start))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chi_p = np.where(alpha != 0.0, -anomaly / k, -sigma)
+            lag = -sum(_universal(chi_p, r_t, alpha, sigma)[2]) / self._sqrt_mu % period
+        return lag, self._h2 / (self._mu * (1.0 + e))
 
-    def _eval(self, s, derivative):
-        s, scalar = self._clamped(s)
+    @cached_property
+    def _closest_approach(self):
+        """Smallest distance to the mass over each window, and when it occurs: two (T,) arrays.
+
+        A match point already inside the guard radius reports its own
+        distance, as build_frame refuses it before propagating anything.
+        """
+        r_t = self._el[0]
+        t = self.match_times
+        lag, distance = self._periapsis
+        distance, when = distance.copy(), t - lag
+        inside = r_t <= self.field.softening
+        distance[inside], when[inside] = r_t[inside], t[inside]
+        # no periapsis in the window: the nearer window end, all starts in one solve
+        ends = np.flatnonzero(~inside & ~(lag <= self.horizon))
+        if ends.size:
+            start = t[ends] - self.horizon
+            rel = self.origin(start, ends) - self.field.position
+            r_start = np.sqrt(_rowdot(rel, rel))
+            nearer = r_start <= r_t[ends]
+            distance[ends] = np.where(nearer, r_start, r_t[ends])
+            when[ends] = np.where(nearer, start, t[ends])
+        return distance, when
+
+    def _eval(self, s, derivative, which):
+        s, scalar = _times(s)
+        if which is None:
+            if self.match_times.size != 1:
+                raise ValueError("a frame over several match times needs ``which`` for each query")
+            which = 0
+        if not isinstance(which, np.ndarray):
+            which = np.full(s.shape, which)
+        t = self.match_times[which]
+        lo = t - self.horizon
+        slack = self._slack[which]
+        outside = (s < lo - slack) | (s > t + slack)
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ValueError(f"frame queried outside [{lo[j]:.6g}, {t[j]:.6g}]")
+        s = np.clip(s, lo, t)
+        dt = s - t
         if self._g is None:
-            out = self._kepler(s, derivative)
+            out = self._kepler(s, derivative, which, dt)
         else:
-            out = self._analytic(s, derivative)
+            out = self._analytic(s, derivative, which, dt)
         return _unwrap(out, scalar)
 
-    def origin(self, s):
-        """Frame origin y(s), shape (3,) or (n, 3)."""
-        return self._eval(s, 0)
+    def origin(self, s, which=None):
+        """Frame origin y(s), shape (3,) or (n, 3); ``which`` indexes the match time of each s."""
+        return self._eval(s, 0, which)
 
-    def origin_velocity(self, s):
-        return self._eval(s, 1)
+    def origin_velocity(self, s, which=None):
+        return self._eval(s, 1, which)
 
-    def origin_acceleration(self, s):
-        return self._eval(s, 2)
+    def origin_acceleration(self, s, which=None):
+        return self._eval(s, 2, which)
+
+
+def build_frames(traj, field, times, horizon):
+    """Free-fall frames of ``traj`` in ``field``, one per match time, as one FreeFallFrame.
+
+    ZeroField, UniformField and PointMassField are supported; any other
+    ambient raises TypeError. ``times`` is a scalar or a 1-D array. Nothing
+    is refused here: FreeFallFrame.inside_guard marks the match times whose
+    conic comes within the guard radius anywhere in [t - horizon, t].
+    """
+    horizon = float(horizon)
+    if not horizon > 0.0:
+        raise ValueError("horizon must be positive")
+    p_t = np.array(traj.position(times), dtype=float)
+    v_t = np.array(traj.velocity(times), dtype=float)
+    if isinstance(field, ZeroField):
+        return FreeFallFrame(times, horizon, field, p_t, v_t, g=np.zeros(3))
+    if isinstance(field, UniformField):
+        return FreeFallFrame(times, horizon, field, p_t, v_t, g=field.g.copy())
+    if not isinstance(field, PointMassField):
+        raise TypeError(f"no free-fall frame for ambient {type(field).__name__}")
+    return FreeFallFrame(times, horizon, field, p_t, v_t)
 
 
 def build_frame(traj, field, t, horizon):
     """Construct the free-fall frame of ``traj`` in ``field`` matched at time t.
 
-    ZeroField, UniformField and PointMassField are supported; any other
-    ambient raises TypeError. A point-mass frame whose conic comes within the
-    guard radius anywhere in [t - horizon, t], between samples included,
-    raises SingularApproach with the closest distance and its time.
+    The one-time case of build_frames. A point-mass frame whose conic comes
+    within the guard radius anywhere in [t - horizon, t], between samples
+    included, raises SingularApproach with the closest distance and its time.
     """
-    t = float(t)
-    horizon = float(horizon)
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    p_t = np.array(traj.position(t), dtype=float)
-    v_t = np.array(traj.velocity(t), dtype=float)
-
-    if isinstance(field, ZeroField):
-        g = np.zeros(3)
-        return FreeFallFrame(t, horizon, field, p_t, v_t, g=g)
-    if isinstance(field, UniformField):
-        return FreeFallFrame(t, horizon, field, p_t, v_t, g=field.g.copy())
-    if not isinstance(field, PointMassField):
-        raise TypeError(f"no free-fall frame for ambient {type(field).__name__}")
-
-    distance, when = float(np.linalg.norm(p_t - field.position)), t
-    if distance > field.softening:
-        frame = FreeFallFrame(t, horizon, field, p_t, v_t)
-        distance, when = frame._closest_approach
-    if distance <= field.softening:
-        raise SingularApproach(f"free-fall path came within {distance:.3e} m of the external "
-                               f"mass near s = {when:.6g} s", distance=distance, when=when)
+    frame = build_frames(traj, field, float(t), horizon)
+    if frame.inside_guard[0]:
+        raise frame.guard_error(0)
     return frame
 
 
-def relative_source_path(frame, traj, s):
+def relative_source_path(frame, traj, s, which=None):
     """Source position relative to the frame origin: position(s) - y(s)."""
-    return traj.position(s) - frame.origin(s)
+    return traj.position(s) - frame.origin(s, which)

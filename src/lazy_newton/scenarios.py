@@ -230,18 +230,20 @@ def estimate_report(rho_nucl):
     )
 
 
-def _potentials(source, ambient, points, t, params, tables):
-    """Potentials at points from one frame and node table; logs the table in ``tables``.
+def _potentials(source, ambient, points, times, params, tables):
+    """Potentials at points[i] at times[i], from one batch of frames; logs the tables in ``tables``.
 
-    ``ambient`` None evaluates the naive form along the lab trajectory.
+    Each time has its own frame and node table, and its points their own
+    evaluation. ``ambient`` None evaluates the naive form along the lab
+    trajectory.
     """
     if ambient is None:
-        framed = _naive(source)
+        framed = [_naive(source, len(times))]
     else:
-        framed = _framed(source, ambient, t, params)
-    phi, _, table = _values([framed], np.atleast_2d(points), t, params)
-    tables.append(table)
-    return phi
+        framed = _framed([source], ambient, times, params)
+    out = _values(framed, [np.atleast_2d(p) for p in points], times, params)
+    tables.extend(table for _, _, table in out)
+    return [phi for phi, _, _ in out]
 
 
 def static_shift_scenario(g_mag, tau_g, mass, probe_distances=(1.0,), *, params=None):
@@ -274,10 +276,9 @@ def static_shift_scenario(g_mag, tau_g, mass, probe_distances=(1.0,), *, params=
     source = Source(mass, Static((0.0, 0.0, 0.0)))
     ambient = UniformField((0.0, 0.0, -g_mag))
     tables = []
-    fits = []
-    for probes in (probe_shell((0.0, 0.0, 0.0), d) for d in distances):
-        phis = _potentials(source, ambient, probes, 0.0, params, tables)
-        fits.append(fit_apparent_shift(zip(probes, phis), mass, (0.0, 0.0, 0.0)))
+    shells = [probe_shell((0.0, 0.0, 0.0), d) for d in distances]
+    phis = _potentials(source, ambient, shells, [0.0] * len(shells), params, tables)
+    fits = [fit_apparent_shift(zip(probes, p), mass, (0.0, 0.0, 0.0)) for probes, p in zip(shells, phis)]
 
     up_shifts = [float(f.delta[2]) for f in fits]
     deviations = [_deviation(predicted_shift, s) for s in up_shifts]
@@ -341,7 +342,7 @@ def orbit_scenario(radius, omega, tau_g, mass, *, probe_distance=1.0, params=Non
     nominal = traj.position(t_eval)
     probes = probe_shell(nominal, probe_distance)
     tables = []
-    phis = _potentials(source, ambient, np.vstack([np.zeros(3), probes]), t_eval, params, tables)
+    phis = _potentials(source, ambient, [np.vstack([np.zeros(3), probes])], [t_eval], params, tables)[0]
     phi_center = float(phis[0])
     ratio_minus_1 = abs(phi_center) * radius / (G * mass) - 1.0
     fit = fit_apparent_shift(zip(probes, phis[1:]), mass, nominal)
@@ -416,11 +417,10 @@ def jump_scenario(a, tau_g, mass, r, times, *, params=None):
     source = Source(mass, traj)
     ambient = ZeroField()
 
-    sims = []
-    preds = []
     tables = []
+    sims = [float(phi[0]) for phi in _potentials(source, ambient, [r] * len(times), times, params, tables)]
+    preds = []
     for t in times:
-        sims.append(float(_potentials(source, ambient, r, t, params, tables)[0]))
         w_old = math.exp(-t / params.tau_g) if params.tau_g > 0.0 else 0.0
         preds.append(w_old * (-G * mass / d_old) + (1.0 - w_old) * (-G * mass / d_new))
     devs = [_deviation(p, s) for p, s in zip(preds, sims)]
@@ -484,10 +484,10 @@ def boost_demo(v, tau_g, mass, r, *, params=None):
     t_eval = 0.0
 
     tables = []
-    rest_naive = float(_potentials(rest_source, None, r, t_eval, params, tables)[0])
-    boosted_naive = float(_potentials(boosted_source, None, r, t_eval, params, tables)[0])
-    rest_framed = float(_potentials(rest_source, ambient, r, t_eval, params, tables)[0])
-    boosted_framed = float(_potentials(boosted_source, ambient, r, t_eval, params, tables)[0])
+    rest_naive = float(_potentials(rest_source, None, [r], [t_eval], params, tables)[0][0])
+    boosted_naive = float(_potentials(boosted_source, None, [r], [t_eval], params, tables)[0][0])
+    rest_framed = float(_potentials(rest_source, ambient, [r], [t_eval], params, tables)[0][0])
+    boosted_framed = float(_potentials(boosted_source, ambient, [r], [t_eval], params, tables)[0][0])
 
     naive_ratio = boosted_naive / rest_naive
     framed_ratio = boosted_framed / rest_framed

@@ -10,8 +10,17 @@ import pytest
 
 import lazy_newton.cli as cli
 from lazy_newton.cli import _build_parser, main, parse_grid_spec, parse_scene_config
-from lazy_newton.errors import ConfigError
-from lazy_newton.evaluator import CHUNK, AdaptiveSimpson, GaussLegendre, scene_potential_field
+from lazy_newton.constants import G
+from lazy_newton.errors import ConfigError, SingularApproach
+from lazy_newton.evaluator import (
+    CHUNK,
+    AdaptiveSimpson,
+    GaussLegendre,
+    _eval_block,
+    prepare_scene,
+    scene_potential_field,
+)
+from lazy_newton.frames import build_frame
 
 
 def scene_doc():
@@ -425,6 +434,93 @@ class TestFieldCommand:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         out = tmp_path / "map.csv"
         assert main(["field", "--config", cfg, "--grid", grd, "--out", str(out)]) == 0
+
+    @staticmethod
+    def kepler_scene():
+        # three sources on free-fall circles about a point mass; the inner one
+        # turns two radians over the 40 tau_g window
+        omega = 2.0 / (40.0 * 1e-3)
+        mass = omega**2 / G
+        sources = [
+            {"mass_kg": float(k + 1), "trajectory": {
+                "kind": "circular_orbit", "center": [0.0, 0.0, 0.0], "radius": radius,
+                "omega": math.sqrt(G * mass / radius**3), "phase": phase}}
+            for k, (radius, phase) in enumerate(((1.0, 0.4), (1.5, 2.9), (2.0, 5.0)))
+        ]
+        ambient = {"kind": "point_mass", "position": [0.0, 0.0, 0.0], "mass_kg": mass}
+        plane = [{"direction": [1, 0, 0], "extent_m": 4.0, "count": 5},
+                 {"direction": [0, 1, 0], "extent_m": 4.0, "count": 5}]
+        grid = {"origin": [-2.1, -1.9, 0.7], "axes": plane,
+                "times": [0.37 + 2e-3 * k for k in range(6)]}
+        return {"sources": sources, "ambient": ambient, "tau_g_s": 1e-3}, grid
+
+    @staticmethod
+    def split_scene():
+        # a plane through a fast orbit, whose rows near the past path split panels
+        scene = {
+            "sources": [
+                {"mass_kg": 1.0, "trajectory": {"kind": "circular_orbit", "center": [0.0, 0.0, 0.0],
+                                                "radius": 1.0, "omega": 100.0}},
+                {"mass_kg": 2.0, "trajectory": {"kind": "static", "position": [0.0, 0.0, 0.5]}},
+            ],
+            "ambient": {"kind": "uniform", "g": [0.0, 0.0, -9.81]},
+            "tau_g_s": 1e-3,
+        }
+        plane = [{"direction": [1, 0, 0], "extent_m": 5.0, "count": 21},
+                 {"direction": [0, 1, 0], "extent_m": 5.0, "count": 21}]
+        return scene, {"origin": [-2.49, -2.49, 0.0], "axes": plane, "times": [0.0, 7e-3, 0.05]}
+
+    @pytest.mark.parametrize("which", ["kepler", "split"])
+    def test_each_slice_equals_its_one_time_map(self, tmp_path, which):
+        scene, grid = getattr(self, f"{which}_scene")()
+        if which == "split":
+            cfg = parse_scene_config(scene)
+            pts = parse_grid_spec(grid).points()
+            for t in grid["times"]:
+                prepared = prepare_scene(cfg.sources, cfg.ambient, t, cfg.params)
+                assert np.any(_eval_block(prepared, pts)[3] > 1)
+        code, out = self.run_field(tmp_path, scene=scene, grid=grid)
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        per_slice = len(rows) // len(grid["times"])
+        for k, t in enumerate(grid["times"]):
+            code, one = self.run_field(tmp_path, scene=scene, grid=dict(grid, times=[t]), name=f"t{k}")
+            assert code == 0
+            assert one.read_text().splitlines()[1:] == rows[k * per_slice:(k + 1) * per_slice]
+
+    def test_frame_guard_at_the_third_time_fails_as_that_time_alone(self, tmp_path, capsys):
+        # a 1 km/s flyby with impact parameter 0.5 mm passes the mass at t = 0:
+        # only the windows of the last three times hold its periapsis, inside
+        # the 1 mm guard radius; the other source's frame never comes near
+        mass, softening = 1.0e10, 1e-3
+        flyby = {"kind": "uniform_velocity", "position": [0.0, 5e-4, 0.0], "velocity": [1000.0, 0.0, 0.0]}
+        scene = {
+            "sources": [
+                {"mass_kg": 1.0, "trajectory": {"kind": "static", "position": [100.0, 0.0, 0.0]}},
+                {"mass_kg": 1.0, "trajectory": flyby},
+            ],
+            "ambient": {"kind": "point_mass", "position": [0.0, 0.0, 0.0], "mass_kg": mass,
+                        "softening_m": softening},
+            "tau_g_s": 1e-3,
+        }
+        times = [-0.2, -0.1, 0.01, 0.02, 0.03]
+        grid = {"origin": [0.0, 0.0, 5.0], "axes": [], "times": times}
+        cfg = parse_scene_config(scene)
+        with pytest.raises(SingularApproach) as alone:
+            build_frame(cfg.sources[1].trajectory, cfg.ambient, times[2], cfg.params.t_max)
+        # periapsis of the conic through (10 m, 0.5 mm) at 1 km/s, from its energy and angular momentum
+        mu, h = G * mass, 5e-4 * 1000.0
+        energy = 0.5 * 1000.0**2 - mu / math.hypot(10.0, 5e-4)
+        ecc = math.sqrt(1.0 + 2.0 * energy * h * h / (mu * mu))
+        assert alone.value.distance == pytest.approx(h * h / (mu * (1.0 + ecc)), rel=1e-9)
+        assert abs(alone.value.when) < 1e-6
+        capsys.readouterr()
+        code, out = self.run_field(tmp_path, scene=scene, grid=grid)
+        assert code == 1
+        assert capsys.readouterr().err == f"numeric failure: {alone.value}\n"
+        assert not out.exists()
+        code, out = self.run_field(tmp_path, scene=scene, grid=dict(grid, times=times[:2]))
+        assert code == 0
 
     def test_missing_or_invalid_config_exits_2(self, tmp_path, capsys):
         grd = write_json(tmp_path / "grid.json", grid_doc())

@@ -31,6 +31,7 @@ from lazy_newton.evaluator import (
     delayed_potential_naive,
     kernel_weights,
     prepare_scene,
+    prepare_scenes,
     scene_potential_field,
     superposed_potential,
 )
@@ -86,9 +87,6 @@ class TestKernelWeights:
         assert np.all(np.diff(nodes.taus) > 0)
         assert np.all(nodes.weights > 0)
         assert nodes.taus[0] > 0 and nodes.taus[-1] < params.t_max
-        # iterates as (tau, weight) pairs
-        tau0, w0 = next(iter(nodes))
-        assert tau0 == nodes.taus[0] and w0 == nodes.weights[0]
 
     def test_winding_path_gets_shorter_panels(self):
         params = KernelParams(1e-3)
@@ -646,6 +644,29 @@ class TestSceneEvaluation:
         assert scene.n_nodes_per_source == (taus.size, taus.size)
         np.testing.assert_array_equal(scene.lags, np.concatenate([taus, taus]))
 
+    @pytest.mark.parametrize("ambient", ["uniform", "point_mass"])
+    def test_prepared_scenes_equal_one_time_scenes(self, ambient):
+        # a jump gives each time inside its window a table of its own and the
+        # later times a shared one; order 42 gives each table's last panel
+        # nine nodes, whose polyline sum a neighbouring time's step would regroup
+        mass = 1e12
+        sources = [
+            Source(2.0, PiecewiseStatic(((-1.0, (3.0, 0.0, 0.0)), (0.0, (3.0, 0.0, 0.01))))),
+            Source(1.0, CircularOrbit((0, 0, 0), 1.0, math.sqrt(G * mass))),
+        ]
+        amb = UniformField((0, 0, -9.81)) if ambient == "uniform" else PointMassField((0, 0, 0), mass)
+        params = KernelParams(1e-3, quadrature=GaussLegendre(order=42))
+        assert np.diff(kernel_weights(params).starts)[-1] == 9
+        times = [0.013, 0.052, 0.021, 0.07, 0.013]
+        for t, scene in zip(times, prepare_scenes(sources, amb, times, params)):
+            alone = prepare_scene(sources, amb, t, params)
+            assert scene.t == alone.t and scene.n_nodes_per_source == alone.n_nodes_per_source
+            for name in ("coords", "weights", "lags", "starts", "panel_edges", "panel_lengths",
+                         "panel_gaps", "panel_sources"):
+                assert getattr(scene, name).tobytes() == getattr(alone, name).tobytes(), name
+            for (_, shift, coef), (_, shift1, coef1) in zip(scene.paths, alone.paths):
+                assert shift.tobytes() == shift1.tobytes() and coef == coef1
+
     def test_prepare_scene_rejects_adaptive(self):
         sources, amb = self.scene()
         with pytest.raises(ValueError):
@@ -744,7 +765,7 @@ class TestSceneEvaluation:
 
     def test_point_mass_frames_skip_the_match_time_solve(self, monkeypatch):
         # the origin at the match time is the source's own position there;
-        # the nodes take one solve per frame and the window start at most one
+        # the nodes take one solve per source and the window start at most one
         mass = 1e12
         sources = [
             Source(1.0, CircularOrbit((0, 0, 0), radius, math.sqrt(G * mass / radius**3), phase=phase))
@@ -754,9 +775,9 @@ class TestSceneEvaluation:
         calls = []
         original = FreeFallFrame.origin
 
-        def counted(frame, s):
+        def counted(frame, s, which=None):
             calls.append(np.array(s, dtype=float))
-            return original(frame, s)
+            return original(frame, s, which)
 
         monkeypatch.setattr(FreeFallFrame, "origin", counted)
         t = 0.37

@@ -13,6 +13,7 @@ from lazy_newton.errors import SingularApproach
 from lazy_newton.evaluator import KernelParams, Source, _framed, _values
 from lazy_newton.frames import (
     AmbientField,
+    FreeFallFrame,
     PointMassField,
     UniformField,
     ZeroField,
@@ -142,6 +143,59 @@ def test_point_mass_frame_against_ivp_oracle(p, v, horizon):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
+def _dop853(field, p, v, t, horizon, s):
+    """Position and velocity at times s of a tight DOP853 solve of y.. = -G M y / |y|^3 from (p, v) at t."""
+
+    def rhs(_, y):
+        return np.concatenate([y[3:], field.accel(y[:3])])
+
+    sol = solve_ivp(rhs, (t, t - horizon), np.concatenate([p, v]), method="DOP853", rtol=1e-13,
+                    atol=1e-15, dense_output=True)
+    out = sol.sol(s)
+    return out[:3].T, out[3:].T
+
+
+def test_one_batch_of_conics_against_ivp_oracle(monkeypatch):
+    # the radial, ellipse and hyperbola frames above and an e = 0.999 ellipse
+    # whose periapsis falls mid-window, as four match times of one frame:
+    # every lag of every time is solved in one batch, against its own conic
+    field = PointMassField((0.0, 0.0, 0.0), 1.0e10)
+    periapsis_v = np.array([0.0, math.sqrt(1.999), 0.0]) * _V_CIRC_1M  # e = 0.999 at 1 m
+    sol = solve_ivp(lambda _, y: np.concatenate([y[3:], field.accel(y[:3])]), (0.0, 10.0),
+                    np.concatenate([[1.0, 0.0, 0.0], periapsis_v]), method="DOP853", rtol=1e-13, atol=1e-15)
+    cases = [
+        ((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.5),
+        ((1.0, 0.0, 0.0), _ELLIPSE_V, 3.0 * _ELLIPSE_PERIOD),
+        ((1.0, 0.0, 0.0), np.array([0.3, 1.8, 0.1]) * _V_CIRC_1M, 20.0),
+        (sol.y[:3, -1], sol.y[3:, -1], 20.0),
+    ]
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    p_t, v_t = (np.array([np.asarray(c[k], dtype=float) for c in cases]) for k in (0, 1))
+    frame = FreeFallFrame(times, max(c[2] for c in cases), field, p_t, v_t)
+    s = np.concatenate([np.linspace(t - c[2], t, 301) for t, c in zip(times, cases)])
+    which = np.repeat(np.arange(len(cases)), 301)
+    origin, velocity = frame.origin(s, which), frame.origin_velocity(s, which)
+    for i, (t, (p, v, horizon)) in enumerate(zip(times, cases)):
+        rows = which == i
+        for got, want in zip((origin[rows], velocity[rows]), _dop853(field, p_t[i], v_t[i], t, horizon, s[rows])):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        y, w = origin[rows], velocity[rows]
+        r = np.linalg.norm(y, axis=1)
+        speed2 = np.einsum("ij,ij->i", w, w)
+        energy = 0.5 * speed2 - _MU_1E10 / r
+        assert np.max(np.abs(energy - energy[-1])) <= 1e-10 * np.max(0.5 * speed2 + _MU_1E10 / r)
+        h = np.cross(y, w)
+        assert np.max(np.linalg.norm(h - h[-1], axis=1)) <= 1e-10 * np.max(r * np.sqrt(speed2))
+        # each lag stops at its own convergence: the batch changes no bit
+        alone = FreeFallFrame(t, horizon, field, p_t[i], v_t[i])
+        assert alone.origin(s[rows]).tobytes() == origin[rows].tobytes()
+    assert frame.origin(3.0 - 10.0, 3) == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
+    # a batch with an unconverged lag raises, however few the others need
+    monkeypatch.setattr(frames, "_KEPLER_ITERATIONS", 1)
+    with pytest.raises(ArithmeticError):
+        frame.origin(s, which)
+
+
 def test_point_mass_origin_obeys_field_ode():
     # hardest legal case: one radian of orbital phase per quarter horizon
     orbit, field = kepler_circular(1.0, 1.0)
@@ -261,8 +315,8 @@ def test_flyby_turn_rate_and_panels_come_from_the_window():
     assert frame.turn_rate == pytest.approx(rates.max(), rel=1e-9)
     assert rates.argmax() == 0
     far = np.array([[0.0, 0.0, 100.0]])
-    framed = [_framed(Source(1.0, path), field, 0.0, params)]
-    _, _, (nodes, panels, split) = _values(framed, far, 0.0, params)
+    framed = _framed([Source(1.0, path)], field, [0.0], params)
+    _, _, (nodes, panels, split) = _values(framed, [far], [0.0], params)[0]
     assert (nodes, panels, split) == (83, 8, 0)
 
 

@@ -249,7 +249,7 @@ class TestReportShape:
 class TestWorkPerEvaluation:
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"build_frame": 0, "kernel_weights": 0}
+        counts = {"build_frames": 0, "kernel_weights": 0}
         for name in counts:
             original = getattr(evaluator, name)
 
@@ -262,11 +262,21 @@ class TestWorkPerEvaluation:
 
     def test_static_shift_prepares_once(self, calls):
         static_shift_scenario(9.81, 1e-3, 1.0, probe_distances=(1.0,))
-        assert calls == {"build_frame": 1, "kernel_weights": 1}
+        assert calls == {"build_frames": 1, "kernel_weights": 1}
 
     def test_orbit_prepares_once(self, calls):
         orbit_scenario(1.0, 10.0, 1e-3, 1.0)
-        assert calls == {"build_frame": 1, "kernel_weights": 1}
+        assert calls == {"build_frames": 1, "kernel_weights": 1}
+
+    def test_jump_frames_every_time_in_one_call(self, calls):
+        # 25 times inside the 40 tau_g window split their tables at their own
+        # jump lag; the 25 past it have no breakpoint and share one table
+        tau_g = 1e-3
+        times = np.concatenate([np.linspace(0.5, 39.5, 25), np.linspace(41.0, 65.0, 25)]) * tau_g
+        report = jump_scenario((0, 0, 0.01), tau_g, 1.0, (0, 0.1, 0), times)
+        assert report.diagnostics["potential_evaluations"] == 50
+        assert calls["build_frames"] == 1
+        assert 0 < calls["kernel_weights"] <= 26
 
 
 class TestDiagnostics:
