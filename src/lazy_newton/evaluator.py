@@ -445,20 +445,11 @@ def _framed(sources, ambient, times, params):
             for src, frame in zip(sources, frames)]
 
 
-def _turn_rates(traj, frame, params, count):
-    """Turn rate each of ``count`` node tables is built for: the trajectory's or, if faster, the frame's.
-
-    The frame's exact rate may need a Kepler solve at the window start.
-    Where even its bound (FreeFallFrame.turn_rate_bound) leaves the
-    trajectory's panel length, the bound stands in: it gives the same table.
-    """
+def _turn_rates(traj, frame, count):
+    """Turn rate each of ``count`` node tables is built for: the trajectory's or, if faster, the frame's."""
     if frame is None:
         return [traj.turn_rate] * count
-    rates = np.maximum(traj.turn_rate, frame.turn_rate_bound)
-    length = _panel_length(params, traj.turn_rate)
-    if any(_panel_length(params, rate) != length for rate in rates.tolist()):
-        rates = np.maximum(traj.turn_rate, frame.turn_rate)
-    return rates
+    return np.maximum(traj.turn_rate, frame.turn_rate)
 
 
 def _at(framed, i):
@@ -515,7 +506,7 @@ def _path_nodes(source, path, shifts, frame, times, params, tables):
         no_panels = np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0)
         return [(at[i:i + 1], np.array([coef]), np.zeros(1), *no_panels) for i in range(count)]
     tabs = [_table(tables, params, _tau_breakpoints(source.trajectory, t, params), rate)
-            for t, rate in zip(times, _turn_rates(source.trajectory, frame, params, count))]
+            for t, rate in zip(times, _turn_rates(source.trajectory, frame, count))]
     ks, ps = [tab.nodes.taus.size for tab in tabs], [tab.sizes.size for tab in tabs]
     node_at, panel_at = [0, *accumulate(ks)], [0, *accumulate(ps)]
     k, p = node_at[-1], panel_at[-1]

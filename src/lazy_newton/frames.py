@@ -249,12 +249,8 @@ class FreeFallFrame:
         if self._g is not None:
             return _unwrap(np.zeros(self.match_times.size), self._scalar)
         r = self._closest_approach[0]
-        return self._rates(r * r)
-
-    def _rates(self, r2):
-        """h / r2, and 0 on a radial path (h = 0), which may reach r = 0."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = np.sqrt(self._h2) / r2
+        with np.errstate(divide="ignore", invalid="ignore"):  # a radial path (h = 0) may reach r = 0
+            rates = np.sqrt(self._h2) / (r * r)
         return _unwrap(np.where(self._h2 > 0.0, rates, 0.0), self._scalar)
 
     @property
@@ -263,34 +259,11 @@ class FreeFallFrame:
         return _unwrap(self._p_t.copy(), self._scalar)
 
     @property
-    def turn_rate_bound(self):
-        """An upper bound on turn_rate that needs no Kepler solve.
-
-        It is exact where the periapsis falls in the window. Elsewhere the
-        nearer window end is no closer than the periapsis distance q, up to
-        the propagation error, so the rate there is below twice h / q^2.
-        """
-        if self._g is not None:
-            return _unwrap(np.zeros(self.match_times.size), self._scalar)
-        lag, q = self._periapsis
-        return self._rates(q * q * np.where(lag <= self.horizon, 1.0, 0.5))
-
-    @property
     def inside_guard(self):
-        """Whether each match time's path comes within the point mass's guard radius, (T,) bool.
-
-        A window without its periapsis is nearest the mass at one of its
-        ends, no nearer than the periapsis distance; its start is solved for
-        only where half that distance is inside the guard radius.
-        """
+        """Whether each match time's path comes within the point mass's guard radius, (T,) bool."""
         if self._g is not None:
             return np.zeros(self.match_times.size, dtype=bool)
-        lag, q = self._periapsis
-        soft = self.field.softening
-        inside, periapsis = self._el[0] <= soft, lag <= self.horizon
-        if np.all(inside | periapsis | (q > 2.0 * soft)):
-            return inside | (periapsis & (q <= soft))
-        return self._closest_approach[0] <= soft
+        return self._closest_approach[0] <= self.field.softening
 
     def guard_error(self, i):
         """The SingularApproach that refuses the frame of match time i."""
