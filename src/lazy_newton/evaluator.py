@@ -18,7 +18,7 @@ is not renormalized away.
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -230,13 +230,14 @@ def _panel_orders(lags, tau_g, order):
     return tuple(np.maximum(n, 2.0).astype(int).tolist())
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _composite_rule(orders):
     """Rules of the given orders (a tuple) laid end to end on [-1, 1]: nodes, weights, orders, offsets.
 
     Panel i holds nodes starts[i] up to starts[i + 1]. Each node is looked up
     in one table of the distinct orders' rules. The result is cached, since
-    a table's orders repeat wherever its breakpoints do.
+    a table's orders repeat wherever its breakpoints do, and so do those of
+    a batch of tables at the same lags in units of tau_g.
     """
     orders = np.array(orders)
     starts = np.concatenate([[0], np.cumsum(orders)])
@@ -250,8 +251,8 @@ def _composite_rule(orders):
     return out
 
 
-def _panel_nodes(edges, tau_g, orders):
-    """Lags, kernel weights and panel offsets of an orders[i]-point rule on each [edges[i], edges[i + 1]].
+def _panel_nodes(lo, hi, tau_g, orders):
+    """Lags, kernel weights and panel offsets of an orders[i]-point rule on each [lo[i], hi[i]].
 
     ``orders`` is a tuple, one order per panel. Lags and weights are flat
     (K,); panel i holds nodes starts[i] up to starts[i + 1]. The
@@ -260,7 +261,6 @@ def _panel_nodes(edges, tau_g, orders):
     moved a panel's weight sum by 4 ulp.
     """
     x, w, orders, starts = _composite_rule(orders)
-    lo, hi = edges[:-1], edges[1:]
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     decay = np.repeat(np.exp(-mid / tau_g), orders)
     half, mid = np.repeat(half, orders), np.repeat(mid, orders)
@@ -278,17 +278,27 @@ def _match_mass(weights, mass):
     the whole miss, then single-ulp steps follow; a step that jumps the sum
     over ``mass`` moves on to the next-largest weight, whose ulp is finer.
     The sum ends within an ulp of the mass even if the 64 steps run out.
+    The weights are ranked (argsort, descending) only for a tie at the top
+    or once the single-ulp steps run.
     """
     miss = weights.sum() - mass
     if miss == 0.0 or abs(miss) > 16.0 * math.ulp(mass):
         return
-    order = np.argsort(weights)[::-1]
-    weights[order[0]] -= miss
+    top = int(np.argmax(weights))
+    if np.count_nonzero(weights == weights[top]) > 1:
+        top = int(np.argsort(weights)[-1])  # argsort ranks ties its own way
+    raw = weights[top]
+    weights[top] -= miss
+    order = None
     j = 0
     for _ in range(64):
         last, miss = miss, weights.sum() - mass
         if miss == 0.0:
             return
+        if order is None:  # rank the weights as they were before the first step
+            weights[top], stepped = raw, weights[top]
+            order = np.argsort(weights)[::-1]
+            weights[top] = stepped
         if miss * last < 0.0:
             j = min(j + 1, order.size - 1)
         weights[order[j]] = np.nextafter(weights[order[j]], -math.copysign(math.inf, miss))
@@ -317,6 +327,46 @@ def _panel_length(params, turn_rate):
     return max_seg
 
 
+def _table_key(params, breakpoints, turn_rate):
+    """(breakpoints, panel length): what fixes a node table."""
+    return tuple(_clean_breakpoints(breakpoints, params.t_max)), _panel_length(params, turn_rate)
+
+
+def _kernel_tables(params, keys):
+    """The node tables of many keys (_table_key) in one pass.
+
+    Returns flat lags and weights, each panel's lag edges lo and hi, each
+    panel's node offset ``starts`` (P + 1,) and each table's panel offset
+    ``at`` (len(keys) + 1,): table j holds panels at[j] up to at[j + 1]. The
+    panel edges of every table come from one linspace formula, the orders
+    and nodes from one call each, and each table's weights meet the kernel
+    mass on their own (_match_mass); every step is elementwise, so a table
+    is the same, bit for bit, whichever others share its pass.
+    """
+    t_max = params.t_max
+    segments, at = [], [0]
+    for bps, length in keys:
+        bounds = (0.0, *bps, t_max)
+        panels = 0
+        for a, b in zip(bounds, bounds[1:]):
+            n = max(1, math.ceil((b - a) / length - 1e-12))
+            segments.append((a, (b - a) / n, n))
+            panels += n
+        at.append(at[-1] + panels)
+    a, step, n = (np.array(c) for c in zip(*segments))
+    # each segment split evenly into n panels, at np.linspace(a, b, n + 1)'s points
+    lo = (np.arange(at[-1]) - np.repeat(np.cumsum(n) - n, n)) * np.repeat(step, n) + np.repeat(a, n)
+    at = np.array(at)
+    hi = np.append(lo[1:], t_max)
+    hi[at[1:] - 1] = t_max
+    orders = _panel_orders(lo, params.tau_g, params.quadrature.order)
+    taus, weights, starts = _panel_nodes(lo, hi, params.tau_g, orders)
+    mass = -math.expm1(-params.t_max_factor)
+    for p, q in zip(starts[at[:-1]], starts[at[1:]]):
+        _match_mass(weights[p:q], mass)
+    return taus, weights, lo, hi, starts, at
+
+
 def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     """Node/weight table covering [0, t_max], split at the given kernel lags.
 
@@ -328,25 +378,14 @@ def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     follows from its start lag (_panel_orders). Only the
     Gauss-Legendre scheme has a fixed node table; the adaptive scheme
     chooses nodes per integrand and is rejected here. tau_g = 0 has no
-    kernel at all (instantaneous limit).
+    kernel at all (instantaneous limit). This is _kernel_tables for one key.
     """
     if params.tau_g == 0.0:
         raise ValueError("tau_g = 0 is the instantaneous limit; it has no kernel nodes")
-    spec = params.quadrature
-    if not isinstance(spec, GaussLegendre):
+    if not isinstance(params.quadrature, GaussLegendre):
         raise ValueError("kernel_weights needs the fixed-node GaussLegendre scheme")
-    t_max = params.t_max
-    bounds = [0.0] + _clean_breakpoints(breakpoints, t_max) + [t_max]
-    max_seg = _panel_length(params, turn_rate)
-    # panel edges: each [a, b] split evenly into panels of at most max_seg
-    edges = np.concatenate([
-        np.linspace(a, b, max(1, math.ceil((b - a) / max_seg - 1e-12)) + 1)[:-1]
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ] + [[t_max]])
-    orders = _panel_orders(edges[:-1], params.tau_g, spec.order)
-    taus, weights, starts = _panel_nodes(edges, params.tau_g, orders)
-    _match_mass(weights, -math.expm1(-params.t_max_factor))
-    return KernelNodes(taus, weights, edges, starts)
+    taus, weights, lo, _, starts, _ = _kernel_tables(params, [_table_key(params, breakpoints, turn_rate)])
+    return KernelNodes(taus, weights, np.append(lo, params.t_max), starts)
 
 
 def _instantaneous(mass, pos, r, eps):
@@ -366,45 +405,71 @@ def _guard_error(d, when, eps, i):
     return SingularApproach(msg, distance=d, when=when, source_index=i)
 
 
-def _adaptive_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    flm, frm = f((0.5 * (a + m), 0.5 * (m + b)))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    err = abs(delta)  # a float for scalar integrands, which skip numpy's max
-    if depth <= 0 or (err if isinstance(err, float) else float(err.max())) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _adaptive_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_step(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+def _adaptive_integral(f, bounds, rel_tol):
+    """Adaptive Simpson of an integrand over consecutive segments, refined level by level.
 
-
-def _adaptive_integral(f, bounds, rel_tol, *, vectorized=False):
-    """Adaptive Simpson of a scalar or vector integrand over consecutive segments.
-
-    ``f`` maps one lag to a value, or with ``vectorized`` a sequence of lags
-    to a sequence of values; the rule asks for the new points of each step
-    in one call. Integrands the rule cannot resolve, such as a field point
-    on the past path, raise AdaptiveBudgetExceeded after _ADAPTIVE_BUDGET
-    evaluations instead of recursing without end.
+    ``f`` maps an array of lags to their values, (n,) or (n, c); each level
+    asks for the new points of all its unconverged intervals in one call.
+    An interval is accepted once its Richardson error, the largest over the
+    components, is within 15 times its tolerance, or at depth 48; its halves
+    share its tolerance. The tree of intervals and the order of the
+    additions (each pair of halves, then the segments left to right) are
+    those of the usual recursive rule, so evaluating by levels changes no
+    bit. Integrands the rule cannot resolve, such as a field point on the
+    past path, raise AdaptiveBudgetExceeded after _ADAPTIVE_BUDGET
+    evaluations instead of refining without end. Returns a float for a
+    scalar integrand, else a (c,) array.
     """
-    used = [0]
+    used = 0
 
-    def counted(xs):
-        used[0] += len(xs)
-        if used[0] > _ADAPTIVE_BUDGET:
+    def charge(n):  # before the n points are laid out, so a spent budget allocates nothing more
+        nonlocal used
+        used += n
+        if used > _ADAPTIVE_BUDGET:
             raise AdaptiveBudgetExceeded(
                 f"adaptive Simpson: no convergence in {_ADAPTIVE_BUDGET} evaluations")
-        return f(xs) if vectorized else tuple(map(f, xs))
 
-    segs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        fa, fm, fb = counted((a, 0.5 * (a + b), b))
-        segs.append((a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)))
-    scale = float(np.max(np.abs(sum(seg[-1] for seg in segs))))
-    tol = rel_tol * (scale if scale > 0.0 else 1.0) / len(segs)
-    return sum(_adaptive_step(counted, *seg, tol, 48) for seg in segs)
+    a, b = np.array(bounds[:-1], dtype=float), np.array(bounds[1:], dtype=float)
+    charge(3 * a.size)
+    x = np.column_stack([a, 0.5 * (a + b), b])
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    scalar = fx.ndim == 1
+    # each interval's lags a, m, b and the values there, (n, 3, 1 + c)
+    ends = np.concatenate([x[:, :, None], fx.reshape(a.size, 3, -1)], axis=2)
+    whole = ((b - a) / 6.0)[:, None] * (ends[:, 0, 1:] + 4.0 * ends[:, 1, 1:] + ends[:, 2, 1:])
+    scale = float(np.max(np.abs(sum(whole))))
+    tol = rel_tol * (scale if scale > 0.0 else 1.0) / a.size
+    # of an interval's lags a, m, b and quarter points, those of its halves
+    halves_at = np.array([0, 3, 1, 1, 4, 2])
+    levels = []  # per level, each interval's accepted value and whether it was refined instead
+    charge(2 * a.size)
+    for depth in range(49):
+        x = ends[:, :, 0]
+        q = 0.5 * (x[:, :2] + x[:, 1:])  # quarter points
+        fq = np.asarray(f(q.ravel()), dtype=float).reshape(len(x), 2, -1)
+        # Simpson on the left and right halves, (n, 2, c)
+        halves = ends[:, :2, 1:] + 4.0 * fq + ends[:, 1:, 1:]
+        halves *= ((x[:, 1:] - x[:, :2]) / 6.0)[:, :, None]
+        both = halves[:, 0] + halves[:, 1]
+        delta = both - whole
+        refine = ~(np.abs(delta).max(axis=1) <= 15.0 * tol)
+        levels.append((both + delta / 15.0, refine))
+        if depth == 48 or not refine.any():
+            refine[:] = False
+            break
+        charge(4 * np.count_nonzero(refine))  # the next level's quarter points
+        # each refined interval's left then right half
+        five = np.concatenate([ends, np.concatenate([q[:, :, None], fq], axis=2)], axis=1)
+        ends = five[refine][:, halves_at].reshape(-1, 3, five.shape[2])
+        whole = halves[refine].reshape(-1, fq.shape[2])
+        tol *= 0.5
+    total = None
+    for value, refine in reversed(levels):
+        if total is not None:
+            value[refine] = total[0::2] + total[1::2]
+        total = value
+    total = sum(total)  # the segments in order, as the recursive rule adds them
+    return float(total[0]) if scalar else total
 
 
 def _tau_breakpoints(trajectory, t, params):
@@ -458,7 +523,8 @@ def _at(framed, i):
 
 
 class _Table(NamedTuple):
-    nodes: KernelNodes
+    taus: np.ndarray  # (K,)
+    weights: np.ndarray  # (K,)
     sizes: np.ndarray  # (P,), nodes per panel
     first: np.ndarray  # (P,), index of each panel's first node
     last: np.ndarray  # (P,), and of its last node
@@ -467,52 +533,69 @@ class _Table(NamedTuple):
     hi_ends: np.ndarray  # (P,), and between its last node and its end
 
 
-def _table(tables, params, breakpoints, turn_rate):
-    """Node table for these breakpoints and turn rate, with its panels' end-point lags.
+def _tables(cache, params, keys):
+    """The node table of each key (_table_key), with its panels' end-point lags.
 
-    ``tables`` holds one per (breakpoints, panel length), which fix the table.
+    ``cache`` holds one table per key; the keys it lacks are built in one
+    _kernel_tables pass and added.
     """
-    key = (tuple(_clean_breakpoints(breakpoints, params.t_max)), _panel_length(params, turn_rate))
-    if key not in tables:
-        nodes = kernel_weights(params, breakpoints, turn_rate=turn_rate)
-        taus, s = nodes.taus, nodes.starts
-        first, last = s[:-1], s[1:] - 1
-        lo, hi = nodes.edges[:-1], nodes.edges[1:]
-        tables[key] = _Table(nodes, np.diff(s), first, last, np.column_stack([lo, hi]),
-                             0.5 * (lo + taus[first]), 0.5 * (hi + taus[last]))
-    return tables[key]
+    new = [key for key in dict.fromkeys(keys) if key not in cache]
+    if new:
+        taus, weights, lo, hi, starts, at = _kernel_tables(params, new)
+        first, last = starts[:-1], starts[1:] - 1
+        sizes, edges = np.diff(starts), np.column_stack([lo, hi])
+        lo_ends, hi_ends = 0.5 * (lo + taus[first]), 0.5 * (hi + taus[last])
+        for key, p, q in zip(new, at[:-1], at[1:]):
+            n, e = starts[p], starts[q]
+            cache[key] = _Table(taus[n:e], weights[n:e], sizes[p:q], first[p:q] - n, last[p:q] - n,
+                                edges[p:q], lo_ends[p:q], hi_ends[p:q])
+    return [cache[key] for key in keys]
 
 
-def _path_nodes(source, path, shifts, frame, times, params, tables):
-    """Effective node masses of one source at each time, and the coarse panels they fill.
+class _Nodes(NamedTuple):
+    """One source's effective nodes and coarse panels at every time of a batch, flat.
+
+    Time i holds nodes node_at[i] up to node_at[i + 1] and panels
+    panel_at[i] up to panel_at[i + 1].
+    """
+
+    positions: np.ndarray  # (K, 3)
+    weights: np.ndarray  # (K,), include the -G*M factor
+    lags: np.ndarray  # (K,)
+    node_at: np.ndarray  # (T + 1,)
+    sizes: np.ndarray  # (P,), nodes per panel
+    edges: np.ndarray  # (P, 2), lag interval of each panel
+    lengths: np.ndarray  # (P,), polyline length through each panel's end points and nodes
+    gaps: np.ndarray  # (P,), longest step of that polyline
+    panel_at: np.ndarray  # (T + 1,)
+
+
+def _path_nodes(source, path, shifts, times, tabs):
+    """Effective node masses of one source at each time, and the coarse panels they fill (_Nodes).
 
     The node at lag tau of times[i] sits at path(times[i] - tau, i) +
-    shifts[i] and carries -G M times its kernel weight. The naive route
-    passes the lab path, no shift and no frame; the framed route passes the
-    frame-relative path, the frame origins and the frame, whose turn rate
-    (_turn_rates) shortens the panels. One path call covers every
-    node and panel end point of every time, and ``tables`` (see _table)
-    shares node tables between times and sources. Returns, per time, node
-    positions, weights and lags, then per panel its node count, its lag
-    edges (P, 2), the length of the polyline through its nodes and two end
-    points, and that polyline's longest step. The end points sit halfway
-    between the panel's edges and its outermost nodes, on the panel's own
-    side of any jump in the path.
+    shifts[i] and carries -G M times its kernel weight from tabs[i]; the
+    naive route passes the lab path and no shift, the framed route the
+    frame-relative path and the frame origins. One path call covers every
+    node and panel end point of every time. Each panel keeps its node count,
+    its lag edges (P, 2), the length of the polyline through its nodes and
+    two end points, and that polyline's longest step. The end points sit
+    halfway between the panel's edges and its outermost nodes, on the
+    panel's own side of any jump in the path. ``tabs`` None (tau_g = 0)
+    gives each time one node, the source itself, and no panels.
     """
     count = len(times)
     coef = -G * source.mass
-    if params.tau_g == 0.0:
+    if tabs is None:
         at = path(np.array(times), np.arange(count)) + shifts
-        no_panels = np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0)
-        return [(at[i:i + 1], np.array([coef]), np.zeros(1), *no_panels) for i in range(count)]
-    tabs = [_table(tables, params, _tau_breakpoints(source.trajectory, t, params), rate)
-            for t, rate in zip(times, _turn_rates(source.trajectory, frame, count))]
-    ks, ps = [tab.nodes.taus.size for tab in tabs], [tab.sizes.size for tab in tabs]
-    node_at, panel_at = [0, *accumulate(ks)], [0, *accumulate(ps)]
+        return _Nodes(at, np.full(count, coef), np.zeros(count), np.arange(count + 1), np.zeros(0, dtype=int),
+                      np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(count + 1, dtype=int))
+    ks, ps = [tab.taus.size for tab in tabs], [tab.sizes.size for tab in tabs]
+    node_at, panel_at = np.cumsum([0, *ks]), np.cumsum([0, *ps])
     k, p = node_at[-1], panel_at[-1]
     # every time's nodes, then every panel's first and last end points
     which = np.repeat(np.arange(3 * count) % count, ks + ps + ps)
-    lags = np.concatenate([tab.nodes.taus for tab in tabs] + [tab.lo_ends for tab in tabs]
+    lags = np.concatenate([tab.taus for tab in tabs] + [tab.lo_ends for tab in tabs]
                           + [tab.hi_ends for tab in tabs])
     at = path(np.array(times)[which] - lags, which)  # one path call
     pts = at[:k]
@@ -524,15 +607,26 @@ def _path_nodes(source, path, shifts, frame, times, params, tables):
     steps = np.sqrt(np.einsum("ij,ij->i", d, d))
     steps[last[:-1]] = 0.0  # from one panel's last node to the next panel's first
     # drop the steps between times, so each time's panels sum as on their own
-    inner = np.concatenate([steps[a:b - 1] for a, b in zip(node_at, node_at[1:])])
+    inner = np.delete(steps[:k], node_at[1:] - 1)
     ends = steps[k - 1:].reshape(2, p)
     at_panel = first - which[k:k + p]
     lengths = np.add.reduceat(inner, at_panel) + ends[0] + ends[1]
     gaps = np.maximum(np.maximum.reduceat(inner, at_panel), ends.max(axis=0))
-    positions = pts + shifts[which[:k]]
-    return [(positions[node_at[i]:node_at[i + 1]], coef * tab.nodes.weights, tab.nodes.taus,
-             tab.sizes, tab.edges, lengths[panel_at[i]:panel_at[i + 1]], gaps[panel_at[i]:panel_at[i + 1]])
-            for i, tab in enumerate(tabs)]
+    return _Nodes(pts + shifts[which[:k]], coef * np.concatenate([tab.weights for tab in tabs]), lags[:k],
+                  node_at, np.concatenate([tab.sizes for tab in tabs]),
+                  np.concatenate([tab.edges for tab in tabs]), lengths, gaps, panel_at)
+
+
+def _source_nodes(framed, times, params, cache):
+    """_path_nodes of each source of _framed at every time, all their node tables from one _tables call."""
+    if params.tau_g == 0.0:
+        return [_path_nodes(*f[:3], times, None) for f in framed]
+    keys = [_table_key(params, _tau_breakpoints(src.trajectory, t, params), rate)
+            for src, _, _, frame in framed
+            for t, rate in zip(times, _turn_rates(src.trajectory, frame, len(times)))]
+    tabs = _tables(cache, params, keys)
+    count = len(times)
+    return [_path_nodes(*f[:3], times, tabs[i * count:(i + 1) * count]) for i, f in enumerate(framed)]
 
 
 def _adaptive_point(framed, r, t, params):
@@ -540,8 +634,8 @@ def _adaptive_point(framed, r, t, params):
 
     ``framed`` holds (source, path, shift) as _at gives it.
     The rule picks its own nodes per integrand, so it cross-checks the
-    node-table route rather than sharing its errors. Each step's new lags go
-    to the path in one call.
+    node-table route rather than sharing its errors. Each level's new lags
+    go to the path in one call.
     """
     tau_g = params.tau_g
     eps = params.softening_eps
@@ -560,9 +654,7 @@ def _adaptive_point(framed, r, t, params):
             return np.column_stack([c / d, (c / (d2 * d))[:, None] * u])
 
         bps = _clean_breakpoints(_tau_breakpoints(src.trajectory, t, params), params.t_max)
-        total += _adaptive_integral(
-            f, [0.0] + bps + [params.t_max], params.quadrature.rel_tol, vectorized=True
-        )
+        total += _adaptive_integral(f, [0.0] + bps + [params.t_max], params.quadrature.rel_tol)
     return total
 
 
@@ -602,28 +694,31 @@ class PreparedScene:
         return self.coords.T
 
 
-def _scene(parts, framed, t, params):
-    """PreparedScene at time t from each source's _path_nodes at t and its _at view of _framed."""
-    # the empty arrays keep a source-free scene well formed
-    empty = (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
-             np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-    positions, weights, lags, sizes, edges, lengths, gaps = (
-        np.concatenate(p) for p in zip(*parts, empty))
-    counts = tuple(len(p[1]) for p in parts)
+def _scene(parts, framed, i, t, params):
+    """PreparedScene at times[i] = t from each source's _Nodes and _framed."""
+    nodes = [(p.node_at[i], p.node_at[i + 1]) for p in parts]
+    panels = [(p.panel_at[i], p.panel_at[i + 1]) for p in parts]
+
+    def joined(name, at, empty):  # a scene of no sources keeps its arrays well formed
+        return np.concatenate([getattr(p, name)[a:b] for p, (a, b) in zip(parts, at)] or [empty])
+
+    counts = [int(b - a) for a, b in nodes]
+    sizes = joined("sizes", panels, np.zeros(0, dtype=int))
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    sources = np.repeat(np.arange(len(parts)), [len(p[4]) for p in parts])
-    paths = tuple((path, shift, -G * src.mass) for src, path, shift in framed)
-    coords = np.ascontiguousarray(positions.T)
+    sources = np.repeat(np.arange(len(parts)), [b - a for a, b in panels])
+    paths = tuple((path, shift, -G * src.mass) for src, path, shift in _at(framed, i))
+    coords = np.ascontiguousarray(joined("positions", nodes, np.zeros((0, 3))).T)
     return PreparedScene(
-        coords, weights, lags, counts, starts, edges, lengths, gaps, sources, paths, t, params
+        coords, joined("weights", nodes, np.zeros(0)), joined("lags", nodes, np.zeros(0)), tuple(counts),
+        starts, joined("edges", panels, np.zeros((0, 2))), joined("lengths", panels, np.zeros(0)),
+        joined("gaps", panels, np.zeros(0)), sources, paths, t, params
     )
 
 
 def _scenes(framed, times, params):
-    """One PreparedScene per time from _framed; equal node tables are built once."""
-    tables = {}
-    parts = [_path_nodes(*f, times, params, tables) for f in framed]
-    return [_scene([p[i] for p in parts], _at(framed, i), t, params) for i, t in enumerate(times)]
+    """One PreparedScene per time from _framed; its node tables come from one pass (_tables)."""
+    parts = _source_nodes(framed, times, params, {})
+    return [_scene(parts, framed, i, t, params) for i, t in enumerate(times)]
 
 
 def prepare_scenes(sources, ambient, times, params):
@@ -682,7 +777,7 @@ def _split_nodes(scene, m):
     for p in np.flatnonzero(m > 1):
         path, shift, coef = scene.paths[scene.panel_sources[p]]
         edges = np.linspace(*scene.panel_edges[p], m[p] + 1)
-        taus, weights, _ = _panel_nodes(edges, scene.params.tau_g, (order,) * m[p])
+        taus, weights, _ = _panel_nodes(edges[:-1], edges[1:], scene.params.tau_g, (order,) * m[p])
         coords = np.ascontiguousarray((path(scene.t - taus) + shift).T)
         out.append((p, coords, coef * weights, taus))
     return out
@@ -698,10 +793,24 @@ def _tile(pts, coords):
 
     Split coordinates keep each of x, y and z contiguous along the nodes, so
     every reduction of a tile runs along one row, pairwise and in cache.
+    Nodes held as (3, rows, K) give each row its own; they must be
+    C-contiguous too, since the differences take their layout.
     """
-    d = pts.T[:, :, None] - coords[:, None, :]
+    d = pts.T[:, :, None] - (coords[:, None, :] if coords.ndim == 2 else coords)
     r2 = np.square(d).sum(axis=0)
     return d, r2, np.sqrt(r2)
+
+
+def _coarse_tile(pts, coords, weights, reach, eps):
+    """_tile to coarse nodes, the terms weight / r, and which rows hit the guard or come within reach.
+
+    A row farther than ``reach`` from every node splits no panel
+    (_split_counts); the others need the exact test.
+    """
+    d, r2, r = _tile(pts, coords)
+    nearest = r.min(axis=1, initial=math.inf)
+    hit = nearest <= eps
+    return d, r2, r, weights / r, hit, ~(nearest >= reach) & ~hit
 
 
 def _tile_sums(inv, r2, d):
@@ -711,6 +820,17 @@ def _tile_sums(inv, r2, d):
     """
     f = np.divide(inv, r2, out=r2)
     return inv.sum(axis=1), np.multiply(d, f, out=d).sum(axis=2).T
+
+
+def _reach(lengths, gaps, at):
+    """Per run of panels at[i] up to at[i + 1], the distance beyond which a point splits none of them.
+
+    See _split_counts; the slack covers rounding. Every run holds a panel,
+    or none does (the Newtonian limit, a scene of no sources): then 0.
+    """
+    if lengths.size == 0:
+        return np.zeros(len(at) - 1)
+    return np.maximum.reduceat(lengths + 0.5 * gaps, at[:-1]) * (1.0 + 1e-9)
 
 
 def _eval_block(scene, pts):
@@ -732,19 +852,14 @@ def _eval_block(scene, pts):
     phi, grad = np.empty(n), np.empty((n, 3))
     singular = np.empty(n, dtype=bool)
     counts = np.ones((n, scene.panel_lengths.size), dtype=int)
-    # a point farther than this from every node splits no panel (_split_counts);
-    # the slack covers rounding, and the closer points get the exact test
-    reach = np.max(scene.panel_lengths + 0.5 * scene.panel_gaps, initial=0.0) * (1.0 + 1e-9)
+    reach = _reach(scene.panel_lengths, scene.panel_gaps, (0, scene.panel_lengths.size))[0]
     starts = scene.starts
     step = _tile_rows(scene.coords.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
-            d, r2, r = _tile(pts[rows], scene.coords)
-            nearest = r.min(axis=1, initial=math.inf)
-            singular[rows] = hit = nearest <= eps
-            inv = scene.weights / r
-            close = ~(nearest >= reach) & ~hit
+            d, r2, r, inv, singular[rows], close = _coarse_tile(
+                pts[rows], scene.coords, scene.weights, reach, eps)
             if close.any():
                 tile = counts[rows]
                 tile[close] = _split_counts(scene, r[close])
@@ -805,19 +920,75 @@ def _scene_values(scene, pts):
     return phi, grad, (nodes, int(m.sum()), int(np.sum(m > 1)))
 
 
-def _values(framed, points, times, params):
+def _stack_sums(parts, points, params):
+    """Potential, field and table of each time whose points keep its coarse nodes, else None.
+
+    ``parts`` holds each source's _Nodes and ``points`` one (n, 3) array per
+    time. Times with equal node counts per source are summed as one stack:
+    each point row is summed against its own time's nodes, gathered as
+    (3, rows, K) in the tiles of _eval_block. A time any of whose points
+    comes within reach of a panel or hits the guard gets None: it may need
+    a split, so it is left to its own prepared scene, as is a scene of no
+    sources. Every row reduces along its own K nodes only, so each value is
+    that time's alone, bit for bit.
+    """
+    count = len(points)
+    if not parts:
+        return [None] * count
+    eps = params.softening_eps
+    coords = np.concatenate([p.positions for p in parts]).T.copy()  # (3, K) of every node of every time
+    weights = np.concatenate([p.weights for p in parts])
+    offsets = accumulate([len(p.weights) for p in parts], initial=0)
+    node_at = [(p.node_at + o).tolist() for p, o in zip(parts, offsets)]
+    reach = reduce(np.maximum, [_reach(p.lengths, p.gaps, p.panel_at) for p in parts])
+    stacks = {}
+    for i in range(count):
+        stacks.setdefault(tuple(at[i + 1] - at[i] for at in node_at), []).append(i)
+    out = [None] * count
+    for key, idx in stacks.items():
+        # (g, K) node indices, source after source as in a prepared scene
+        nodes = np.concatenate([np.array([at[i] for i in idx])[:, None] + np.arange(k)
+                                for at, k in zip(node_at, key)], axis=1)
+        sizes = [len(points[i]) for i in idx]
+        which = np.repeat(nodes, sizes, axis=0)
+        near = np.repeat(reach[idx], sizes)
+        pts = np.concatenate([points[i] for i in idx])
+        phi, grad, odd = np.empty(pts.shape[0]), np.empty(pts.shape), np.empty(pts.shape[0], dtype=bool)
+        step = _tile_rows(nodes.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, pts.shape[0], step):
+                rows = slice(lo, lo + step)
+                d, r2, _, inv, hit, close = _coarse_tile(
+                    pts[rows], np.take(coords, which[rows], axis=1), weights[which[rows]], near[rows], eps)
+                odd[rows] = hit | close
+                phi[rows], grad[rows] = _tile_sums(inv, r2, d)
+        for i, a, b in zip(idx, accumulate(sizes, initial=0), accumulate(sizes)):
+            if not odd[a:b].any():
+                panels = sum(int(p.panel_at[i + 1] - p.panel_at[i]) for p in parts)
+                out[i] = phi[a:b], grad[a:b], (sum(key), panels, 0)
+    return out
+
+
+def _values(framed, points, times, params, tables=None):
     """Per time, potential (n,), field (n, 3) and the evaluated table at that time's points.
 
     ``framed`` is as _framed returns it and ``points`` holds one (n, 3)
     array per time; one node table per source and time serves every point
-    of that time, split near the path as _eval_block decides (see
-    _scene_values). The table is all zero without a Gauss-Legendre kernel.
+    of that time. The times are summed in stacks (_stack_sums); a time that
+    may need a split or hits the guard is evaluated on its own prepared
+    scene, split near the path as _eval_block decides (see _scene_values),
+    and the earliest such time with a guard hit raises. The table is all
+    zero without a Gauss-Legendre kernel. ``tables`` keeps node tables
+    between calls (see _tables).
     """
     if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
         out = [np.array([_adaptive_point(_at(framed, i), r, t, params) for r in pts]).reshape(-1, 4)
                for i, (t, pts) in enumerate(zip(times, points))]
         return [(o[:, 0], o[:, 1:], (0, 0, 0)) for o in out]
-    return [_scene_values(scene, pts) for scene, pts in zip(_scenes(framed, times, params), points)]
+    parts = _source_nodes(framed, times, params, {} if tables is None else tables)
+    stacked = _stack_sums(parts, points, params)
+    return [out if out is not None else _scene_values(_scene(parts, framed, i, t, params), pts)
+            for i, (out, t, pts) in enumerate(zip(stacked, times, points))]
 
 
 def delayed_potential_naive(source, r, t, params, *, path=None):

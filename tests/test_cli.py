@@ -241,6 +241,13 @@ class TestScenarioCommand:
         assert time.perf_counter() - start < 10.0
         assert "no convergence" in capsys.readouterr().err
 
+    def test_boost_lag_on_the_path_exits_1(self, capsys):
+        # |v| tau_g = 2 |r| along the probe: the prediction's first midpoint,
+        # half a tau_g back, lies exactly on the boosted path
+        argv = ["scenario", "boost", "--v=0,2000,0", "--probe=0,1,0", "--tau-g=1e-3"]
+        assert main(argv) == 1
+        assert "path 5.000e-04 s back" in capsys.readouterr().err
+
     def test_regime_violation_exits_2(self, capsys):
         assert main(["scenario", "orbit", "--omega", "200", "--tau-g", "1e-3"]) == 2
         err = capsys.readouterr().err

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import struve, y0
@@ -139,6 +139,92 @@ class TestKernelWeights:
         assert abs(total - (1.0 - math.exp(-factor))) < 1e-14
 
 
+def argsort_match_mass(weights, mass):
+    """The mass match as first written: every weight ranked by argsort up front."""
+    miss = weights.sum() - mass
+    if miss == 0.0 or abs(miss) > 16.0 * math.ulp(mass):
+        return
+    order = np.argsort(weights)[::-1]
+    weights[order[0]] -= miss
+    j = 0
+    for _ in range(64):
+        last, miss = miss, weights.sum() - mass
+        if miss == 0.0:
+            return
+        if miss * last < 0.0:
+            j = min(j + 1, order.size - 1)
+        weights[order[j]] = np.nextafter(weights[order[j]], -math.copysign(math.inf, miss))
+
+
+@st.composite
+def table_keys(draw, t_max):
+    """(breakpoints, turn rate) of one table: duplicates, points within 1e-12 t_max of the ends."""
+    bps = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    bps += draw(st.lists(st.sampled_from(bps), max_size=2)) if bps else []
+    ends = draw(st.lists(st.tuples(st.booleans(), st.floats(0.0, 2e-12)), max_size=2))
+    bps = [b * t_max for b in bps] + [(1.0 - e if top else e) * t_max for top, e in ends]
+    # turn rates (rad per tau_g) from none up past the MAX_SPLIT floor of the panel length
+    rate = draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)))
+    return bps, rate
+
+
+class TestTablePass:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_tau=st.floats(-6.0, 0.0),
+        order=st.integers(2, 64),
+        data=st.data(),
+    )
+    def test_batched_tables_equal_tables_built_alone(self, log_tau, order, data):
+        params = KernelParams(10.0 ** log_tau, quadrature=GaussLegendre(order))
+        drawn = data.draw(st.lists(table_keys(params.t_max), min_size=1, max_size=6))
+        keys = [evaluator._table_key(params, bps, rate / params.tau_g) for bps, rate in drawn]
+        for (bps, rate), tab in zip(drawn, evaluator._tables({}, params, keys)):
+            alone = kernel_weights(params, bps, turn_rate=rate / params.tau_g)
+            assert tab.taus.tobytes() == alone.taus.tobytes()
+            assert tab.weights.tobytes() == alone.weights.tobytes()
+            assert tab.edges.tobytes() == np.column_stack([alone.edges[:-1], alone.edges[1:]]).tobytes()
+            np.testing.assert_array_equal(tab.sizes, np.diff(alone.starts))
+
+    def test_batched_tables_that_miss_the_mass(self):
+        # breakpoints whose raw weights miss the kernel mass by a few ulp: some
+        # take the single-ulp steps after the largest weight's correction
+        params = KernelParams(1e-3)
+        mass = -math.expm1(-40.0)
+        bps = [[5e-5], [9.9937e-5], [2.646746e-3], [3.245995e-3], [3.34587e-3], []]
+        keys = [evaluator._table_key(params, b, 0.0) for b in bps]
+        missed = stepped = 0
+        for b, tab in zip(bps, evaluator._tables({}, params, keys)):
+            raw = _panel_nodes(tab.edges[:, 0], tab.edges[:, 1], 1e-3, tuple(tab.sizes.tolist()))[1]
+            missed += raw.sum() != mass
+            top = raw.copy()
+            top[np.argmax(top)] -= raw.sum() - mass
+            stepped += top.sum() != mass
+            assert tab.weights.tobytes() == kernel_weights(params, b).weights.tobytes()
+            assert tab.weights.sum() == mass
+        assert missed >= 5 and stepped >= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        ties=st.integers(1, 4),
+        ulps=st.integers(-20, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_mass_picks_what_argsort_picked(self, n, ties, ulps, seed):
+        # equal largest weights included: the same weight takes the miss
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 1.0, n + ties)
+        weights[:ties] = weights.max() * 1.5
+        rng.shuffle(weights)
+        mass = float(weights.sum())
+        mass += ulps * math.ulp(mass)
+        got, want = weights.copy(), weights.copy()
+        evaluator._match_mass(got, mass)
+        argsort_match_mass(want, mass)
+        assert got.tobytes() == want.tobytes()
+
+
 @lru_cache(maxsize=None)
 def decimal_rule(order, digits=50):
     """Oracle: Gauss-Legendre nodes and weights to 50 digits, independent of numpy.
@@ -199,7 +285,7 @@ class TestPolishedRule:
         # numpy's leggauss rule misses this by 11 ulp (1.2e-15) at order 32
         # on 5 tau_g panels, and by 513 ulp at order 128 on 20 tau_g panels
         edges = np.arange(0.0, 40.0 + 0.5 * panel, panel)
-        _, weights, starts = _panel_nodes(edges, 1.0, (order,) * (edges.size - 1))
+        _, weights, starts = _panel_nodes(edges[:-1], edges[1:], 1.0, (order,) * (edges.size - 1))
         sums = [weights[a:b].sum() for a, b in zip(starts[:-1], starts[1:])]
         for got, want in zip(sums, decimal_panel_integrals(order, edges)):
             assert abs(got - want) <= 4.0 * math.ulp(want)
@@ -218,7 +304,8 @@ class TestPolishedRule:
         params = KernelParams(1.0, quadrature=GaussLegendre(order=2, max_segment_tau_g=5.0))
         nodes = kernel_weights(params)
         edges = nodes.edges
-        np.testing.assert_array_equal(nodes.weights, _panel_nodes(edges, 1.0, (2,) * nodes.n_segments)[1])
+        np.testing.assert_array_equal(
+            nodes.weights, _panel_nodes(edges[:-1], edges[1:], 1.0, (2,) * nodes.n_segments)[1])
         assert abs(nodes.weights.sum() - (1.0 - math.exp(-40.0))) > 1e-3
 
 
@@ -816,11 +903,77 @@ class TestSceneEvaluation:
         np.testing.assert_allclose(ad[1][good], gl[1][good], rtol=1e-9, atol=1e-22)
 
 
+def one_time(sources, amb, r, t, params):
+    """Potential and field of one point at one time on its own prepared scene, as a field map sums it."""
+    phi, grad = _eval_block(prepare_scene(sources, amb, t, params), np.atleast_2d(r))[:2]
+    return phi[0], grad[0]
+
+
+class TestStackedSums:
+    @settings(max_examples=15, deadline=None)
+    @example(log_tau=-1.0, a=(0.0, 0.0, 0.0), r=(0.25, 0.25, 0.25))  # the field's sums need C-order tiles
+    @given(
+        log_tau=st.floats(-4.0, -1.0),
+        a=st.tuples(*[st.floats(-0.02, 0.02)] * 3),
+        r=st.tuples(*[st.floats(0.05, 0.3)] * 3),
+    )
+    def test_jump_values_equal_one_time_values(self, log_tau, a, r):
+        # the CLI's default jump times: most have a table of their own, and
+        # times of equal node count are summed together
+        tau_g = 10.0 ** log_tau
+        params = KernelParams(tau_g)
+        src = Source(1.5, PiecewiseStatic([(-1.0 - params.t_max, (0, 0, 0)), (0.0, a)]))
+        times = list(np.linspace(0.01 * tau_g, 40.0 * tau_g, 50))
+        r = np.array(r)
+        framed = evaluator._framed([src], ZeroField(), times, params)
+        out = evaluator._values(framed, [r[None, :]] * len(times), times, params)
+        assert len({table[0] for _, _, table in out}) < len(times)
+        for t, (phi, grad, _) in zip(times, out):
+            assert phi[0] == delayed_potential(src, ZeroField(), r, t, params)
+            assert grad[0].tobytes() == delayed_field(src, ZeroField(), r, t, params).tobytes()
+            alone_phi, alone_grad = one_time([src], ZeroField(), r, t, params)
+            assert phi[0] == alone_phi and grad[0].tobytes() == alone_grad.tobytes()
+
+    def test_stack_with_a_split_row(self):
+        # four times of one table on the naive lab path; the first point of
+        # the second time sits 1 mm from the path 2 tau_g back, on a 5 m
+        # panel, and takes a split
+        src = Source(1.0, UniformVelocity((0, 0, 0), (1000.0, 0, 0)))
+        params = KernelParams(1e-3)
+        times = [0.0, 1e-3, 2e-3, 3e-3]
+        pts = [np.array([[0.0, 10.0, 0.0], [3.0, -7.0, 1.0]]),
+               np.array([[-1.0, 1e-3, 0.0], [0.0, 10.0, 0.0]]),
+               np.array([[5.0, 5.0, 5.0]]),
+               np.array([[2.0, 0.0, 9.0]])]
+        out = evaluator._values([evaluator._naive(src, len(times))], pts, times, params)
+        assert [table[2] > 0 for _, _, table in out] == [False, True, False, False]
+        for t, p, (phi, grad, _) in zip(times, pts, out):
+            whole = evaluator._values([evaluator._naive(src)], [p], [t], params)[0]
+            assert phi.tobytes() == whole[0].tobytes() and grad.tobytes() == whole[1].tobytes()
+            scene = evaluator._scenes([evaluator._naive(src)], [t], params)[0]
+            assert (phi.tobytes(), grad.tobytes()) == tuple(a.tobytes() for a in _eval_block(scene, p)[:2])
+            for k, r in enumerate(p):
+                assert phi[k] == delayed_potential_naive(src, r, t, params)
+
+    def test_stack_with_a_guarded_row_raises_the_one_time_error(self):
+        src = Source(1.0, Static((0, 0, 0)))
+        params = KernelParams(1e-3)
+        times = [0.0, 1e-3, 2e-3, 3e-3]
+        pts = [np.array([[0.0, 1.0, 0.0]])] * 4
+        pts[2] = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1e-10]])
+        with pytest.raises(SingularApproach) as alone:
+            delayed_potential(src, ZeroField(), pts[2][1], times[2], params)
+        with pytest.raises(SingularApproach) as stacked:
+            evaluator._values(evaluator._framed([src], ZeroField(), times, params), pts, times, params)
+        assert str(stacked.value) == str(alone.value)
+        assert (stacked.value.distance, stacked.value.when) == (alone.value.distance, alone.value.when)
+
+
 class TestAdaptiveBudget:
     def test_unresolvable_integrand_raises_named_error(self):
         # 1/|u - c| is not integrable, so refinement never converges
         def f(u):
-            return np.array([1.0 / abs(u - 0.3 * math.pi)])
+            return 1.0 / np.abs(u - 0.3 * math.pi)
 
         with pytest.raises(AdaptiveBudgetExceeded) as exc:
             _adaptive_integral(f, [0.0, 1.0, 2.0], 1e-12)

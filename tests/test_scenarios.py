@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import struve, y0
 
 import lazy_newton.evaluator as evaluator
@@ -13,6 +16,7 @@ from lazy_newton.frames import UniformField
 from lazy_newton.kinematics import Static, UniformAcceleration
 from lazy_newton.scenarios import (
     ScenarioReport,
+    _boosted_kernel_average,
     boost_demo,
     estimate_report,
     estimate_tau_g,
@@ -218,6 +222,35 @@ class TestBoost:
             report = boost_demo((speed, 0.0, 0.0), 1e-3, 1.0, (0, 1.0, 0))
             assert report.deviation["framed_over_rest"]["relative"] <= 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_ratio=st.floats(-6.0, 6.0),
+        dist=st.floats(0.5, 2.0),
+        angles=st.tuples(st.floats(0.0, math.pi), *[st.floats(0.0, 2.0 * math.pi)] * 2),
+        log_tau=st.floats(-4.0, -2.0),
+    )
+    def test_prediction_matches_quad_across_the_gate(self, log_ratio, dist, angles, log_tau):
+        # a boost perpendicular to the probe, |v| tau_g / |r| anywhere in the
+        # regime gate: E_u[1 / sqrt(1 + (ratio u)^2)] by scipy's quad, cut
+        # where the integrand turns over
+        theta, phi, psi = angles
+        n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+        e1 = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        perp = math.cos(psi) * e1 + math.sin(psi) * np.cross(n, e1)
+        params = KernelParams(10.0 ** log_tau)
+        ratio = 10.0 ** log_ratio
+        v = perp * (ratio * dist / params.tau_g)
+        ratio = float(np.linalg.norm(v)) * params.tau_g / dist
+        u_max = params.t_max_factor
+        cuts = sorted({c for c in (1.0 / ratio, 10.0 / ratio, 1.0) if c < u_max})
+        want, err = quad(lambda u: math.exp(-u) / math.sqrt(1.0 + (ratio * u) ** 2), 0.0, u_max,
+                         points=cuts, epsabs=0.0, epsrel=2e-14, limit=500)
+        assert err < 1e-13 * want
+        want /= -math.expm1(-u_max)
+        got = _boosted_kernel_average(v, params, dist * n)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_scale_separation_gates(self):
         with pytest.raises(RegimeError):
             boost_demo((1e12, 0, 0), 1e-3, 1.0, (0, 1.0, 0))
@@ -249,7 +282,7 @@ class TestReportShape:
 class TestWorkPerEvaluation:
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"build_frames": 0, "kernel_weights": 0}
+        counts = {"build_frames": 0, "_kernel_tables": 0}
         for name in counts:
             original = getattr(evaluator, name)
 
@@ -262,21 +295,27 @@ class TestWorkPerEvaluation:
 
     def test_static_shift_prepares_once(self, calls):
         static_shift_scenario(9.81, 1e-3, 1.0, probe_distances=(1.0,))
-        assert calls == {"build_frames": 1, "kernel_weights": 1}
+        assert calls == {"build_frames": 1, "_kernel_tables": 1}
 
     def test_orbit_prepares_once(self, calls):
         orbit_scenario(1.0, 10.0, 1e-3, 1.0)
-        assert calls == {"build_frames": 1, "kernel_weights": 1}
+        assert calls == {"build_frames": 1, "_kernel_tables": 1}
 
     def test_jump_frames_every_time_in_one_call(self, calls):
         # 25 times inside the 40 tau_g window split their tables at their own
-        # jump lag; the 25 past it have no breakpoint and share one table
+        # jump lag; the 25 past it have no breakpoint and share one table.
+        # All 26 tables come from one pass.
         tau_g = 1e-3
         times = np.concatenate([np.linspace(0.5, 39.5, 25), np.linspace(41.0, 65.0, 25)]) * tau_g
         report = jump_scenario((0, 0, 0.01), tau_g, 1.0, (0, 0.1, 0), times)
         assert report.diagnostics["potential_evaluations"] == 50
-        assert calls["build_frames"] == 1
-        assert 0 < calls["kernel_weights"] <= 26
+        assert calls == {"build_frames": 1, "_kernel_tables": 1}
+
+    def test_boost_builds_its_default_table_once(self, calls):
+        # the naive and framed, rest and boosted evaluations all use the
+        # default table: one pass for the four
+        boost_demo((1000.0, 0.0, 0.0), 1e-3, 1.0, (0, 1.0, 0))
+        assert calls == {"build_frames": 2, "_kernel_tables": 1}
 
 
 class TestDiagnostics:
