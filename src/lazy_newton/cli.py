@@ -162,34 +162,6 @@ def _parse_trajectory(path, data):
     return traj
 
 
-def _trajectory_to_dict(traj):
-    if isinstance(traj, Static):
-        return {"kind": "static", "position": traj.p0.tolist()}
-    if isinstance(traj, UniformVelocity):
-        return {"kind": "uniform_velocity", "position": traj.p0.tolist(), "velocity": traj.v.tolist()}
-    if isinstance(traj, UniformAcceleration):
-        return {
-            "kind": "uniform_acceleration",
-            "position": traj.p0.tolist(),
-            "velocity": traj.v0.tolist(),
-            "acceleration": traj.a.tolist(),
-        }
-    if isinstance(traj, CircularOrbit):
-        return {
-            "kind": "circular_orbit",
-            "center": traj.center.tolist(),
-            "radius": traj.radius,
-            "omega": traj.angular_frequency,
-            "phase": traj.phase,
-            "normal": traj.normal.tolist(),
-        }
-    if isinstance(traj, PiecewiseStatic):
-        return {"kind": "piecewise_static", "epochs": [[t, p.tolist()] for t, p in traj.epochs]}
-    if isinstance(traj, Sampled):
-        return {"kind": "sampled", "times": traj.times.tolist(), "positions": traj.positions.tolist()}
-    raise TypeError(f"unsupported trajectory type {type(traj).__name__}")
-
-
 def _parse_ambient(path, data):
     f = _Fields(path, data)
     kind = f.take("kind")
@@ -207,21 +179,6 @@ def _parse_ambient(path, data):
         raise ConfigError(f"{path}.kind", f"unknown ambient kind {kind!r}")
     f.finish()
     return out
-
-
-def _ambient_to_dict(ambient):
-    if isinstance(ambient, ZeroField):
-        return {"kind": "zero"}
-    if isinstance(ambient, UniformField):
-        return {"kind": "uniform", "g": ambient.g.tolist()}
-    if isinstance(ambient, PointMassField):
-        return {
-            "kind": "point_mass",
-            "position": ambient.position.tolist(),
-            "mass_kg": ambient.mass,
-            "softening_m": ambient.softening,
-        }
-    raise TypeError(f"unsupported ambient type {type(ambient).__name__}")
 
 
 def _parse_quadrature(path, data):
@@ -249,16 +206,6 @@ def _parse_quadrature(path, data):
     return out
 
 
-def _quadrature_to_dict(spec):
-    if isinstance(spec, GaussLegendre):
-        return {
-            "scheme": "gauss_legendre",
-            "order": spec.order,
-            "max_segment_tau_g": spec.max_segment_tau_g,
-        }
-    return {"scheme": "adaptive_simpson", "rel_tol": spec.rel_tol}
-
-
 @dataclass
 class SceneConfig:
     """Parsed scene: sources, ambient field, and kernel parameters."""
@@ -266,19 +213,6 @@ class SceneConfig:
     sources: list
     ambient: object
     params: KernelParams
-
-    def to_dict(self):
-        return {
-            "sources": [
-                {"mass_kg": s.mass, "trajectory": _trajectory_to_dict(s.trajectory)}
-                for s in self.sources
-            ],
-            "ambient": _ambient_to_dict(self.ambient),
-            "tau_g_s": self.params.tau_g,
-            "t_max_factor": self.params.t_max_factor,
-            "softening_m": self.params.softening_eps,
-            "quadrature": _quadrature_to_dict(self.params.quadrature),
-        }
 
 
 def parse_scene_config(data, path="scene"):

@@ -47,8 +47,8 @@ __all__ = [
     "scene_potential_fields",
 ]
 
-# grid points per evaluation block. A panel splits for at most one block of
-# points (_eval_block), so a fixed size keeps a given map's bytes fixed.
+# points per evaluation block of a time. A panel splits for at most one block
+# of points (_values), so a fixed size keeps a given map's bytes fixed.
 CHUNK = 512
 TILE = 16  # fewest rows of a block summed together (see _tile_rows)
 TILE_CELLS = 8192  # (rows, K) entries of a tile: one float64 array of 64 KiB
@@ -715,12 +715,6 @@ def _scene(parts, framed, i, t, params):
     )
 
 
-def _scenes(framed, times, params):
-    """One PreparedScene per time from _framed; its node tables come from one pass (_tables)."""
-    parts = _source_nodes(framed, times, params, {})
-    return [_scene(parts, framed, i, t, params) for i, t in enumerate(times)]
-
-
 def prepare_scenes(sources, ambient, times, params):
     """Collapse every source to its effective kernel-node masses at each of ``times``.
 
@@ -735,7 +729,9 @@ def prepare_scenes(sources, ambient, times, params):
     times = [float(t) for t in times]
     if not times:
         return []
-    return _scenes(_framed(sources, ambient, times, params), times, params)
+    framed = _framed(sources, ambient, times, params)
+    parts = _source_nodes(framed, times, params, {})
+    return [_scene(parts, framed, i, t, params) for i, t in enumerate(times)]
 
 
 def prepare_scene(sources, ambient, t, params):
@@ -833,63 +829,13 @@ def _reach(lengths, gaps, at):
     return np.maximum.reduceat(lengths + 0.5 * gaps, at[:-1]) * (1.0 + 1e-9)
 
 
-def _eval_block(scene, pts):
-    """Potential, field, guard mask and per-panel split counts of a prepared scene on one block.
-
-    The block runs in tiles of _tile_rows(K) rows whose (rows, K) arrays
-    stay in cache: each tile's distances to the coarse nodes give its guard
-    mask, its split decision and its sums. A panel splits into the most
-    sub-panels any point of the block needs (guarded points aside), and only
-    the points that need a split trade the panel's coarse nodes for its
-    sub-panel nodes; the others keep the coarse panel, which has converged
-    for them. Each point reduces along its own row, so results are bitwise
-    reproducible for any tiling. The sums are numpy's pairwise sums, whose
-    rounding grows with log K, not K: shift fits amplify ulp noise by the
-    probe-distance / displacement ratio.
-    """
-    eps = scene.params.softening_eps
-    n = pts.shape[0]
-    phi, grad = np.empty(n), np.empty((n, 3))
-    singular = np.empty(n, dtype=bool)
-    counts = np.ones((n, scene.panel_lengths.size), dtype=int)
-    reach = _reach(scene.panel_lengths, scene.panel_gaps, (0, scene.panel_lengths.size))[0]
-    starts = scene.starts
-    step = _tile_rows(scene.coords.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
-            d, r2, r, inv, singular[rows], close = _coarse_tile(
-                pts[rows], scene.coords, scene.weights, reach, eps)
-            if close.any():
-                tile = counts[rows]
-                tile[close] = _split_counts(scene, r[close])
-                need = tile > 1
-                for p in np.flatnonzero(need.any(axis=0)):
-                    inv[need[:, p], starts[p]:starts[p + 1]] = 0.0
-            phi[rows], grad[rows] = _tile_sums(inv, r2, d)
-        m = counts.max(axis=0, initial=1)
-        for p, coords, weights, _ in _split_nodes(scene, m):
-            need = np.flatnonzero(counts[:, p] > 1)
-            step = _tile_rows(coords.shape[1])
-            for lo in range(0, need.size, step):
-                rows = need[lo:lo + step]
-                d, r2, r = _tile(pts[rows], coords)
-                singular[rows] |= r.min(axis=1) <= eps
-                tile_phi, tile_grad = _tile_sums(weights / r, r2, d)
-                phi[rows] += tile_phi
-                grad[rows] += tile_grad
-    phi[singular] = np.nan
-    grad[singular] = np.nan
-    return phi, grad, singular, m
-
-
 def _guard_hit(scene, pt, m):
-    """SingularApproach for the node nearest ``pt`` among those _eval_block gave it.
+    """SingularApproach for the node nearest ``pt`` among those _values summed it against.
 
-    ``m`` is the block's split. The point traded a panel's coarse nodes for
-    its sub-panel nodes where it needed the split and no coarse node guarded
-    it; those coarse nodes stay candidates, since they all lie outside the
-    guard radius that some evaluated node fell inside.
+    ``m`` is the split of the point's block. The point traded a panel's
+    coarse nodes for its sub-panel nodes where it needed the split and no
+    coarse node guarded it; those coarse nodes stay candidates, since they
+    all lie outside the guard radius that some evaluated node fell inside.
     """
     eps = scene.params.softening_eps
     r = _tile(pt[None, :], scene.coords)[2]
@@ -905,90 +851,153 @@ def _guard_hit(scene, pt, m):
     return _guard_error(float(r[k]), scene.t - float(lags[k]), eps, int(sources[k]))
 
 
-def _scene_values(scene, pts):
-    """Potential (n,), field (n, 3) and the evaluated table of one prepared scene at points.
+def _split_sums(scene, counts, pts, phi, grad, singular):
+    """Add one time's sub-panel sums to its rows, in place, and nan its guarded rows; returns its guard error.
 
-    The table is (nodes, panels, split panels) summed over sources. A guard
-    hit raises SingularApproach describing the nearest node the first guarded
-    point was evaluated with, sub-panel nodes included.
+    ``counts`` (n, P) holds each row's split counts (_split_counts), all 1
+    for a guarded row. Each CHUNK block of rows splits a panel into the most
+    sub-panels any of its rows needs, so a given map's bytes stay fixed, and
+    only the rows that need the split sum its sub-panel nodes; the others
+    keep the coarse panel, which has converged for them. The guard error is
+    that of the first guarded row (_guard_hit), or None.
     """
-    phi, grad, singular, m = _eval_block(scene, pts)
-    if singular.any():
-        raise _guard_hit(scene, pts[np.argmax(singular)], m)
-    order = getattr(scene.params.quadrature, "order", 0)
-    nodes = int(np.where(m > 1, m * order, np.diff(scene.starts)).sum())
-    return phi, grad, (nodes, int(m.sum()), int(np.sum(m > 1)))
+    eps = scene.params.softening_eps
+    error = None
+    for lo in range(0, len(pts), CHUNK):
+        block = counts[lo:lo + CHUNK]
+        m = block.max(axis=0, initial=1)
+        for p, coords, weights, _ in _split_nodes(scene, m):
+            need = lo + np.flatnonzero(block[:, p] > 1)
+            step = _tile_rows(coords.shape[1])
+            for s in range(0, need.size, step):
+                rows = need[s:s + step]
+                d, r2, r = _tile(pts[rows], coords)
+                singular[rows] |= r.min(axis=1) <= eps
+                tile_phi, tile_grad = _tile_sums(weights / r, r2, d)
+                phi[rows] += tile_phi
+                grad[rows] += tile_grad
+        hit = singular[lo:lo + CHUNK]
+        if error is None and hit.any():
+            error = _guard_hit(scene, pts[lo + np.argmax(hit)], m)
+    phi[singular] = np.nan
+    grad[singular] = np.nan
+    return error
 
 
-def _stack_sums(parts, points, params):
-    """Potential, field and table of each time whose points keep its coarse nodes, else None.
+def _adaptive_values(framed, pts, t, params):
+    """_values at one time by the adaptive scheme, one point at a time, guarded points masked; no panels."""
+    out = np.full((pts.shape[0], 4), np.nan)
+    singular = np.zeros(pts.shape[0], dtype=bool)
+    error = None
+    for k, r in enumerate(pts):
+        try:
+            out[k] = _adaptive_point(framed, r, t, params)
+        except SingularApproach as exc:
+            singular[k] = True
+            error = error or exc
+    return out[:, 0], out[:, 1:], singular, error, (0, 0, 0)
 
-    ``parts`` holds each source's _Nodes and ``points`` one (n, 3) array per
-    time. Times with equal node counts per source are summed as one stack:
-    each point row is summed against its own time's nodes, gathered as
-    (3, rows, K) in the tiles of _eval_block. A time any of whose points
-    comes within reach of a panel or hits the guard gets None: it may need
-    a split, so it is left to its own prepared scene, as is a scene of no
-    sources. Every row reduces along its own K nodes only, so each value is
-    that time's alone, bit for bit.
+
+def _values(framed, points, times, params, tables=None):
+    """Per time: potential (n,), field (n, 3), guard mask (n,), guard error and evaluated table.
+
+    ``framed`` is as _framed returns it and ``points`` holds one (n, 3)
+    array per time; one node table per source and time serves every point
+    of that time. Times with equal node counts per source are stacked, and
+    one pass of tiles of _tile_rows(K) rows, whose (rows, K) arrays stay in
+    cache, sums each point row against its own time's coarse nodes once: a
+    tile of one time's rows broadcasts that time's (3, K) nodes, a tile
+    that mixes times gathers (3, rows, K). The same pass masks the rows
+    that hit the guard and gives each row that comes within reach of a
+    panel its split counts (_split_counts) from its own time's panels, on
+    that time's PreparedScene, built only then; such a row trades each
+    panel it splits for the panel's sub-panel nodes (_split_sums). Each
+    row reduces along its own nodes only, pairwise, so every value is its
+    time's alone, bit for bit, for any stacking or tiling; the pairwise
+    rounding grows with log K, not K, which matters since shift fits
+    amplify ulp noise by the probe-distance / displacement ratio.
+
+    Guarded rows are nan. The guard error is None or the SingularApproach
+    of the time's first guarded point, naming the nearest node it was
+    summed against (_guard_hit); _checked raises the earliest. The table
+    (nodes, panels, split panels) is summed over sources, split panels at
+    their largest split, and all zero without a Gauss-Legendre kernel.
+    ``tables`` keeps node tables between calls (see _tables).
     """
-    count = len(points)
-    if not parts:
-        return [None] * count
-    eps = params.softening_eps
-    coords = np.concatenate([p.positions for p in parts]).T.copy()  # (3, K) of every node of every time
-    weights = np.concatenate([p.weights for p in parts])
+    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
+        return [_adaptive_values(_at(framed, i), pts, t, params)
+                for i, (t, pts) in enumerate(zip(times, points))]
+    parts = _source_nodes(framed, times, params, {} if tables is None else tables)
+    eps, count = params.softening_eps, len(times)
+    # (3, K) of every node of every time, source after source
+    coords = np.concatenate([p.positions for p in parts] or [np.zeros((0, 3))]).T.copy()
+    weights = np.concatenate([p.weights for p in parts] or [np.zeros(0)])
     offsets = accumulate([len(p.weights) for p in parts], initial=0)
     node_at = [(p.node_at + o).tolist() for p, o in zip(parts, offsets)]
-    reach = reduce(np.maximum, [_reach(p.lengths, p.gaps, p.panel_at) for p in parts])
+    panel_at = [p.panel_at.tolist() for p in parts]
+    reach = reduce(np.maximum, [_reach(p.lengths, p.gaps, p.panel_at) for p in parts], np.zeros(count))
+    order = getattr(params.quadrature, "order", 0)
+    scenes = {}
+
+    def scene(i):
+        if i not in scenes:
+            scenes[i] = _scene(parts, framed, i, times[i], params)
+        return scenes[i]
+
     stacks = {}
     for i in range(count):
         stacks.setdefault(tuple(at[i + 1] - at[i] for at in node_at), []).append(i)
     out = [None] * count
-    for key, idx in stacks.items():
-        # (g, K) node indices, source after source as in a prepared scene
-        nodes = np.concatenate([np.array([at[i] for i in idx])[:, None] + np.arange(k)
-                                for at, k in zip(node_at, key)], axis=1)
-        sizes = [len(points[i]) for i in idx]
-        which = np.repeat(nodes, sizes, axis=0)
-        near = np.repeat(reach[idx], sizes)
-        pts = np.concatenate([points[i] for i in idx])
-        phi, grad, odd = np.empty(pts.shape[0]), np.empty(pts.shape), np.empty(pts.shape[0], dtype=bool)
-        step = _tile_rows(nodes.shape[1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, pts.shape[0], step):
-                rows = slice(lo, lo + step)
-                d, r2, _, inv, hit, close = _coarse_tile(
-                    pts[rows], np.take(coords, which[rows], axis=1), weights[which[rows]], near[rows], eps)
-                odd[rows] = hit | close
-                phi[rows], grad[rows] = _tile_sums(inv, r2, d)
-        for i, a, b in zip(idx, accumulate(sizes, initial=0), accumulate(sizes)):
-            if not odd[a:b].any():
-                panels = sum(int(p.panel_at[i + 1] - p.panel_at[i]) for p in parts)
-                out[i] = phi[a:b], grad[a:b], (sum(key), panels, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for key, idx in stacks.items():
+            k = sum(key)
+            # (g, K) node indices, source after source as in a prepared scene
+            nodes = [np.array([at[i] for i in idx])[:, None] + np.arange(n) for at, n in zip(node_at, key)]
+            nodes = np.concatenate(nodes or [np.zeros((len(idx), 0), dtype=int)], axis=1)
+            pts = np.concatenate([points[i] for i in idx])
+            lengths = [len(points[i]) for i in idx]
+            row_at = list(accumulate(lengths, initial=0))
+            row_time = np.repeat(np.arange(len(idx)), lengths)
+            near = reach[idx]
+            n = pts.shape[0]
+            phi, grad, singular = np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)
+            counts = {}  # stack index of a time with a close row: its rows' split counts (rows, P)
+            step = _tile_rows(k)
+            for lo in range(0, n, step):
+                j = row_time[lo:lo + step]
+                at = j[0] if j[0] == j[-1] else j  # one time's rows broadcast its (3, K) nodes
+                d, r2, r, inv, singular[lo:lo + step], close = _coarse_tile(
+                    pts[lo:lo + step], coords.take(nodes[at], axis=1), weights[nodes[at]], near[at], eps)
+                for jj in np.unique(j[close]).tolist() if close.any() else ():  # each time's close rows
+                    own = np.flatnonzero(close & (j == jj))
+                    sc = scene(idx[jj])
+                    if jj not in counts:
+                        counts[jj] = np.ones((lengths[jj], sc.starts.size - 1), dtype=int)
+                    counts[jj][lo + own - row_at[jj]] = need = _split_counts(sc, r[own])
+                    for p in np.flatnonzero((need > 1).any(axis=0)):  # trade split panels for sub-panels
+                        inv[own[need[:, p] > 1], sc.starts[p]:sc.starts[p + 1]] = 0.0
+                phi[lo:lo + step], grad[lo:lo + step] = _tile_sums(inv, r2, d)
+            odd = counts.keys() | set(row_time[singular].tolist())
+            for jj, (i, a, b) in enumerate(zip(idx, row_at, row_at[1:])):
+                error, table = None, (k, sum(at[i + 1] - at[i] for at in panel_at), 0)
+                if jj in odd:
+                    sc = scene(i)
+                    c = counts[jj] if jj in counts else np.ones((b - a, sc.starts.size - 1), dtype=int)
+                    error = _split_sums(sc, c, pts[a:b], phi[a:b], grad[a:b], singular[a:b])
+                    m = c.max(axis=0, initial=1)
+                    split = m > 1
+                    nodes_used = k + int((m * order - np.diff(sc.starts))[split].sum())
+                    table = (nodes_used, int(m.sum()), int(split.sum()))
+                out[i] = phi[a:b], grad[a:b], singular[a:b], error, table
     return out
 
 
-def _values(framed, points, times, params, tables=None):
-    """Per time, potential (n,), field (n, 3) and the evaluated table at that time's points.
-
-    ``framed`` is as _framed returns it and ``points`` holds one (n, 3)
-    array per time; one node table per source and time serves every point
-    of that time. The times are summed in stacks (_stack_sums); a time that
-    may need a split or hits the guard is evaluated on its own prepared
-    scene, split near the path as _eval_block decides (see _scene_values),
-    and the earliest such time with a guard hit raises. The table is all
-    zero without a Gauss-Legendre kernel. ``tables`` keeps node tables
-    between calls (see _tables).
-    """
-    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
-        out = [np.array([_adaptive_point(_at(framed, i), r, t, params) for r in pts]).reshape(-1, 4)
-               for i, (t, pts) in enumerate(zip(times, points))]
-        return [(o[:, 0], o[:, 1:], (0, 0, 0)) for o in out]
-    parts = _source_nodes(framed, times, params, {} if tables is None else tables)
-    stacked = _stack_sums(parts, points, params)
-    return [out if out is not None else _scene_values(_scene(parts, framed, i, t, params), pts)
-            for i, (out, t, pts) in enumerate(zip(stacked, times, points))]
+def _checked(out):
+    """(potential, field, table) of each time of _values' output; the earliest time's guard error raises."""
+    for *_, error, _ in out:
+        if error is not None:
+            raise error
+    return [(phi, grad, table) for phi, grad, _, _, table in out]
 
 
 def delayed_potential_naive(source, r, t, params, *, path=None):
@@ -1005,7 +1014,7 @@ def delayed_potential_naive(source, r, t, params, *, path=None):
         path = source.trajectory.position
     if params.tau_g == 0.0:
         return _instantaneous(source.mass, path(t), r, params.softening_eps)[0]
-    return float(_values([_naive(source, path=path)], [r[None, :]], [t], params)[0][0][0])
+    return float(_checked(_values([_naive(source, path=path)], [r[None, :]], [t], params))[0][0][0])
 
 
 def _framed_point(source, ambient, r, t, params):
@@ -1013,7 +1022,7 @@ def _framed_point(source, ambient, r, t, params):
     t = float(t)
     if params.tau_g == 0.0:
         return _instantaneous(source.mass, source.trajectory.position(t), r, params.softening_eps)
-    phi, grad, _ = _values(_framed([source], ambient, [t], params), [r[None, :]], [t], params)[0]
+    phi, grad, _ = _checked(_values(_framed([source], ambient, [t], params), [r[None, :]], [t], params))[0]
     return float(phi[0]), grad[0]
 
 
@@ -1038,19 +1047,7 @@ def superposed_potential(sources, ambient, r, t, params):
     """
     t = float(t)
     framed = _framed(sources, ambient, [t], params)
-    return float(_values(framed, [as_vec3(r, "r")[None, :]], [t], params)[0][0][0])
-
-
-def _adaptive_block(framed, t, params, pts):
-    """_eval_block's contract for the adaptive scheme, one point at a time; no panels."""
-    out = np.full((pts.shape[0], 4), np.nan)
-    singular = np.zeros(pts.shape[0], dtype=bool)
-    for i, r in enumerate(pts):
-        try:
-            out[i] = _adaptive_point(framed, r, t, params)
-        except SingularApproach:
-            singular[i] = True
-    return out[:, 0], out[:, 1:], singular, np.zeros(0, dtype=int)
+    return float(_checked(_values(framed, [as_vec3(r, "r")[None, :]], [t], params))[0][0][0])
 
 
 def scene_potential_fields(sources, ambient, points, times, params):
@@ -1059,30 +1056,19 @@ def scene_potential_fields(sources, ambient, points, times, params):
     Returns one (phi (n,), grad (n,3), singular (n,) bool) per time. Points
     inside the guard radius of any effective node produce nan rows and a
     True mask entry instead of raising, so grid sweeps can report and
-    continue. The scenes of all times are prepared in one batch
-    (prepare_scenes), then each time's points run in blocks of CHUNK, one
-    after another on the calling thread, so identical inputs give
-    byte-identical outputs, and each time's rows are the same whichever
-    other times share the call.
+    continue. Every time is framed in one batch (_framed) and summed by
+    _values, the route single-point calls and reports take, on the calling
+    thread, so identical inputs give byte-identical outputs, and each
+    time's rows are the same whichever other times share the call.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
     times = [float(t) for t in times]
-    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
-        framed = _framed(sources, ambient, times, params)
-        blocks = [partial(_adaptive_block, _at(framed, i), t, params) for i, t in enumerate(times)]
-    else:
-        blocks = [partial(_eval_block, scene) for scene in prepare_scenes(sources, ambient, times, params)]
-    out = []
-    for block in blocks:
-        phi, grad = np.empty(pts.shape[0]), np.empty(pts.shape)
-        singular = np.zeros(pts.shape[0], dtype=bool)
-        for lo in range(0, pts.shape[0], CHUNK):
-            rows = slice(lo, lo + CHUNK)
-            phi[rows], grad[rows], singular[rows], _ = block(pts[rows])
-        out.append((phi, grad, singular))
-    return out
+    if not times:
+        return []
+    out = _values(_framed(sources, ambient, times, params), [pts] * len(times), times, params)
+    return [(phi, grad, singular) for phi, grad, singular, _, _ in out]
 
 
 def scene_potential_field(sources, ambient, points, t, params, threads=None):

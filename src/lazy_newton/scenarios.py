@@ -22,6 +22,7 @@ from .evaluator import (
     KernelParams,
     Source,
     _adaptive_integral,
+    _checked,
     _framed,
     _naive,
     _values,
@@ -241,7 +242,7 @@ def _potentials(source, ambient, points, times, params, tables, cache=None):
         framed = [_naive(source, len(times))]
     else:
         framed = _framed([source], ambient, times, params)
-    out = _values(framed, [np.atleast_2d(p) for p in points], times, params, cache)
+    out = _checked(_values(framed, [np.atleast_2d(p) for p in points], times, params, cache))
     tables.extend(table for _, _, table in out)
     return [phi for phi, _, _ in out]
 

@@ -20,9 +20,10 @@ from lazy_newton.evaluator import (
     GaussLegendre,
     KernelParams,
     Source,
-    _eval_block,
     _gauss_legendre,
+    _split_counts,
     _split_nodes,
+    _tile,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
@@ -382,15 +383,18 @@ def test_node_sum_matches_exactly_rounded_reference(tau_g):
         assert abs(phi - ref) <= 4.0 * np.finfo(float).eps * abs(ref)
 
 
-def field_sum_error(scene, pts):
-    """Largest |grad - fsum(terms)| of _eval_block over points and components, in eps * sum|terms|.
+def field_sum_error(sources, amb, pts, t, params):
+    """Largest |grad - fsum(terms)| of a field map over points and components, in eps * sum|terms|.
 
     The terms w (r - x) / |r - x|^3 are formed here one node at a time, over
-    the nodes _eval_block evaluates: the coarse table, with a lone point's
-    split panels traded for their sub-panel nodes. A block of several points
-    must split no panel, so that all of its points share the coarse table.
+    the nodes the map evaluates: the coarse table of the time's prepared
+    scene, with a lone point's split panels traded for their sub-panel
+    nodes. A block of several points must split no panel, so that all of
+    its points share the coarse table.
     """
-    _, grad, singular, m = _eval_block(scene, pts)
+    scene = prepare_scene(sources, amb, t, params)
+    _, grad, singular = scene_potential_field(sources, amb, pts, t, params)
+    m = _split_counts(scene, _tile(pts, scene.coords)[2]).max(axis=0, initial=1)
     assert not singular.any() and (len(pts) == 1 or (m == 1).all())
     splits = _split_nodes(scene, m)
     keep = np.repeat(m == 1, np.diff(scene.starts))
@@ -470,8 +474,7 @@ def test_graded_table_matches_a_64_point_table():
 def test_block_field_matches_exactly_rounded_reference(tau_g):
     params = KernelParams(tau_g)
     for src, amb, r, t in scenario_scenes():
-        scene = prepare_scene([src], amb, t, params)
-        assert field_sum_error(scene, r[None, :]) <= 16.0
+        assert field_sum_error([src], amb, r[None, :], t, params) <= 16.0
 
 
 def test_criterion_8_field_matches_exactly_rounded_reference():
@@ -479,5 +482,4 @@ def test_criterion_8_field_matches_exactly_rounded_reference():
     xs = np.linspace(-1.0, 1.0, 21)
     pts = np.column_stack([np.repeat(xs, 21), np.tile(xs, 21), np.full(21 * 21, 2.0)])
     for t in np.linspace(0.0, 2e-3, 10):  # the criterion-8 map's times
-        scene = prepare_scene(sources, UniformField((0, 0, -9.81)), t, KernelParams(1e-3))
-        assert field_sum_error(scene, pts) <= 16.0
+        assert field_sum_error(sources, UniformField((0, 0, -9.81)), pts, t, KernelParams(1e-3)) <= 16.0

@@ -20,12 +20,13 @@ from lazy_newton.evaluator import (
     KernelParams,
     Source,
     _adaptive_integral,
-    _eval_block,
+    _framed,
     _gauss_legendre,
     _panel_nodes,
     _split_counts,
     _tile,
     _tile_rows,
+    _values,
     delayed_field,
     delayed_potential,
     delayed_potential_naive,
@@ -33,6 +34,7 @@ from lazy_newton.evaluator import (
     prepare_scene,
     prepare_scenes,
     scene_potential_field,
+    scene_potential_fields,
     superposed_potential,
 )
 from lazy_newton.frames import FreeFallFrame, PointMassField, UniformField, ZeroField
@@ -44,6 +46,7 @@ from lazy_newton.kinematics import (
     UniformAcceleration,
     UniformVelocity,
 )
+from lazy_newton.scenarios import jump_scenario
 
 
 def truncated_moment(k, tau_g, t_max):
@@ -812,14 +815,16 @@ class TestSceneEvaluation:
         block_phi, block_grad = [], []
         for lo in range(0, len(pts), CHUNK):
             block = pts[lo:lo + CHUNK]
-            phi, grad, singular, m = _eval_block(scene, block)
+            phi, grad, singular, _, (_, panels, split) = _values(
+                _framed(sources, amb, [0.0], params), [block], [0.0], params)[0]
             block_phi.append(phi)
             block_grad.append(grad)
             # the block's split is the largest need of any point, skipped rows included
             counts = _split_counts(scene, _tile(block, scene.coords)[2])
+            m = counts.max(axis=0)
             assert not singular.any()
-            np.testing.assert_array_equal(m, counts.max(axis=0))
-            split_panels += int(np.sum(m > 1))
+            assert (panels, split) == (m.sum(), np.sum(m > 1))
+            split_panels += split
             for row in np.flatnonzero(np.any(counts > 1, axis=1)):
                 split_blocks.add(lo)
                 split_tiles.add((lo, row // rows))
@@ -843,7 +848,7 @@ class TestSceneEvaluation:
         pts = np.column_stack([np.repeat(xs, 41), np.tile(xs, 41), np.zeros(41 * 41)])
         scene = prepare_scene(sources, amb, 0.0, params)
         assert _tile_rows(scene.coords.shape[1]) > TILE
-        assert np.any(_eval_block(scene, pts[:CHUNK])[3] > 1)
+        assert _split_counts(scene, _tile(pts[:CHUNK], scene.coords)[2]).max() > 1
         phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
         monkeypatch.setattr(evaluator, "_tile_rows", lambda k: TILE)
         phi16, grad16, _ = scene_potential_field(sources, amb, pts, 0.0, params)
@@ -883,10 +888,10 @@ class TestSceneEvaluation:
         pts = rng.uniform(-2, 2, (2 * TILE + 5, 3)) + np.array([0.0, 0.0, 3.0])
         pts[7] = [1.0, 0.002, 0.0]  # near the orbit, where the coarse table splits
         scene = prepare_scene(sources, amb, 0.0, params)
-        phi, grad, _, m = _eval_block(scene, pts)
-        assert np.any(m > 1)
+        assert _split_counts(scene, _tile(pts, scene.coords)[2]).max() > 1
+        phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
         for k, r in enumerate(pts):
-            phi1, grad1, _, _ = _eval_block(scene, r[None, :])
+            phi1, grad1, _ = scene_potential_field(sources, amb, r[None, :], 0.0, params)
             assert phi1.tobytes() == phi[k:k + 1].tobytes()
             assert grad1.tobytes() == grad[k:k + 1].tobytes()
 
@@ -904,8 +909,8 @@ class TestSceneEvaluation:
 
 
 def one_time(sources, amb, r, t, params):
-    """Potential and field of one point at one time on its own prepared scene, as a field map sums it."""
-    phi, grad = _eval_block(prepare_scene(sources, amb, t, params), np.atleast_2d(r))[:2]
+    """Potential and field of one point at one time, as a one-point field map sums it."""
+    phi, grad = scene_potential_field(sources, amb, np.atleast_2d(r), t, params)[:2]
     return phi[0], grad[0]
 
 
@@ -926,7 +931,7 @@ class TestStackedSums:
         times = list(np.linspace(0.01 * tau_g, 40.0 * tau_g, 50))
         r = np.array(r)
         framed = evaluator._framed([src], ZeroField(), times, params)
-        out = evaluator._values(framed, [r[None, :]] * len(times), times, params)
+        out = evaluator._checked(evaluator._values(framed, [r[None, :]] * len(times), times, params))
         assert len({table[0] for _, _, table in out}) < len(times)
         for t, (phi, grad, _) in zip(times, out):
             assert phi[0] == delayed_potential(src, ZeroField(), r, t, params)
@@ -945,13 +950,11 @@ class TestStackedSums:
                np.array([[-1.0, 1e-3, 0.0], [0.0, 10.0, 0.0]]),
                np.array([[5.0, 5.0, 5.0]]),
                np.array([[2.0, 0.0, 9.0]])]
-        out = evaluator._values([evaluator._naive(src, len(times))], pts, times, params)
+        out = evaluator._checked(evaluator._values([evaluator._naive(src, len(times))], pts, times, params))
         assert [table[2] > 0 for _, _, table in out] == [False, True, False, False]
         for t, p, (phi, grad, _) in zip(times, pts, out):
             whole = evaluator._values([evaluator._naive(src)], [p], [t], params)[0]
             assert phi.tobytes() == whole[0].tobytes() and grad.tobytes() == whole[1].tobytes()
-            scene = evaluator._scenes([evaluator._naive(src)], [t], params)[0]
-            assert (phi.tobytes(), grad.tobytes()) == tuple(a.tobytes() for a in _eval_block(scene, p)[:2])
             for k, r in enumerate(p):
                 assert phi[k] == delayed_potential_naive(src, r, t, params)
 
@@ -963,10 +966,152 @@ class TestStackedSums:
         pts[2] = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1e-10]])
         with pytest.raises(SingularApproach) as alone:
             delayed_potential(src, ZeroField(), pts[2][1], times[2], params)
+        out = evaluator._values(evaluator._framed([src], ZeroField(), times, params), pts, times, params)
+        masks = [singular.tolist() for _, _, singular, _, _ in out]
+        assert masks == [[False], [False], [False, True], [False]]
         with pytest.raises(SingularApproach) as stacked:
-            evaluator._values(evaluator._framed([src], ZeroField(), times, params), pts, times, params)
+            evaluator._checked(out)
         assert str(stacked.value) == str(alone.value)
         assert (stacked.value.distance, stacked.value.when) == (alone.value.distance, alone.value.when)
+
+
+def fast_orbit_map():
+    """Sources, ambient, points and times of a map on the plane of a fast orbit, every time split."""
+    sources = [
+        Source(1.0, CircularOrbit((0, 0, 0), 1.0, 100.0)),
+        Source(2.0, Static((0, 0, 0.5))),
+    ]
+    xs = np.linspace(-2.49, 2.51, 41)
+    pts = np.column_stack([np.repeat(xs, 41), np.tile(xs, 41), np.zeros(41 * 41)])
+    return sources, UniformField((0, 0, -9.81)), pts, [0.0, 1e-3]
+
+
+class TestSinglePass:
+    """Every point row is summed against its time's coarse nodes exactly once."""
+
+    @staticmethod
+    def coarse_rows(monkeypatch):
+        rows = []
+        original = evaluator._coarse_tile
+
+        def counted(pts, *args):
+            rows.append(len(pts))
+            return original(pts, *args)
+
+        monkeypatch.setattr(evaluator, "_coarse_tile", counted)
+        return rows
+
+    def test_split_map(self, monkeypatch):
+        sources, amb, pts, times = fast_orbit_map()
+        params = KernelParams(1e-3)
+        out = _values(_framed(sources, amb, times, params), [pts] * len(times), times, params)
+        assert all(split > 0 for *_, (_, _, split) in out)
+        rows = self.coarse_rows(monkeypatch)
+        maps = scene_potential_fields(sources, amb, pts, times, params)
+        assert sum(rows) == len(times) * len(pts)
+        for (phi, grad, singular), (phi1, grad1, singular1, _, _) in zip(maps, out):
+            assert (phi.tobytes(), grad.tobytes()) == (phi1.tobytes(), grad1.tobytes())
+            assert not singular.any() and not singular1.any()
+
+    def test_jump_report(self, monkeypatch):
+        rows = self.coarse_rows(monkeypatch)
+        times = list(np.linspace(1e-4, 4e-2, 50))
+        jump_scenario((0.0, 0.0, 0.01), 1e-3, 1.0, (0.1, 0.0, 0.0), times)
+        assert sum(rows) == len(times)
+        assert len(rows) < len(times)  # times of equal node count share tiles
+
+    def test_stack_with_a_split_row(self, monkeypatch):
+        src = Source(1.0, UniformVelocity((0, 0, 0), (1000.0, 0, 0)))
+        params = KernelParams(1e-3)
+        times = [0.0, 1e-3, 2e-3, 3e-3]
+        pts = [np.array([[0.0, 10.0, 0.0], [3.0, -7.0, 1.0]]),
+               np.array([[-1.0, 1e-3, 0.0], [0.0, 10.0, 0.0]]),
+               np.array([[5.0, 5.0, 5.0]]),
+               np.array([[2.0, 0.0, 9.0]])]
+        rows = self.coarse_rows(monkeypatch)
+        out = _values([evaluator._naive(src, len(times))], pts, times, params)
+        assert [table[2] > 0 for *_, table in out] == [False, True, False, False]
+        assert sum(rows) == 6 and len(rows) == 1
+
+
+class TestMapEdges:
+    def scene(self):
+        sources = [Source(2.0, Static((0, 0, 0))), Source(1.0, CircularOrbit((0, 0, 0), 1.0, 10.0))]
+        return sources, UniformField((0, 0, -9.81))
+
+    def test_adaptive_map_rows_equal_point_calls(self):
+        # the guarded row sits on the orbiting source at t = 0; each other
+        # row is the point calls' value, bit for bit
+        src = Source(1.0, CircularOrbit((0, 0, 0), 1.0, 10.0))
+        amb = UniformField((0, 0, -9.81))
+        params = KernelParams(1e-3, quadrature=AdaptiveSimpson(1e-10))
+        pts = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.5, -0.5, 1.0], [0.3, 0.2, 0.1]])
+        times = [0.0, 2e-3]
+        masked = []
+        for t, (phi, grad, singular) in zip(times, scene_potential_fields([src], amb, pts, times, params)):
+            for k, r in enumerate(pts):
+                try:
+                    expected = (delayed_potential(src, amb, r, t, params),
+                                delayed_field(src, amb, r, t, params))
+                except SingularApproach:
+                    assert singular[k] and np.isnan(phi[k]) and np.isnan(grad[k]).all()
+                    masked.append((t, k))
+                else:
+                    assert not singular[k]
+                    assert phi[k] == expected[0] and grad[k].tobytes() == expected[1].tobytes()
+        assert masked == [(0.0, 1)]
+
+    def test_adaptive_map_budget_raises(self):
+        # no integral meets a tolerance below the rounding of its terms
+        sources, amb = self.scene()
+        params = KernelParams(1e-3, quadrature=AdaptiveSimpson(1e-18))
+        with pytest.raises(AdaptiveBudgetExceeded):
+            delayed_potential(sources[1], amb, (0.5, 0.0, 0.1), 0.0, params)
+        with pytest.raises(AdaptiveBudgetExceeded):
+            scene_potential_fields(sources, amb, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.1]], [0.0], params)
+
+    def test_no_points(self):
+        sources, amb = self.scene()
+        out = scene_potential_fields(sources, amb, np.zeros((0, 3)), [0.0, 1e-3], KernelParams(1e-3))
+        shapes = [(phi.shape, grad.shape, singular.shape) for phi, grad, singular in out]
+        assert shapes == [((0,), (0, 3), (0,))] * 2
+
+    @pytest.mark.parametrize("quadrature", [GaussLegendre(), AdaptiveSimpson()],
+                             ids=["gauss_legendre", "adaptive"])
+    def test_no_times(self, quadrature):
+        sources, amb = self.scene()
+        params = KernelParams(1e-3, quadrature=quadrature)
+        assert scene_potential_fields(sources, amb, [[0.0, 0.0, 1.0]], [], params) == []
+
+    @pytest.mark.parametrize("quadrature", [GaussLegendre(), AdaptiveSimpson()],
+                             ids=["gauss_legendre", "adaptive"])
+    def test_no_sources(self, quadrature):
+        _, amb = self.scene()
+        out = scene_potential_fields([], amb, [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]], [0.0, 1e-3],
+                                     KernelParams(1e-3, quadrature=quadrature))
+        assert len(out) == 2
+        for phi, grad, singular in out:
+            assert phi.tolist() == [0.0, 0.0] and grad.tolist() == [[0.0] * 3] * 2
+            assert not singular.any()
+
+    def test_instantaneous_map_is_newton(self):
+        # tau_g = 0: each source is its lab position at t, and the row sums
+        # the two Newton terms in source order
+        sources, amb = self.scene()
+        pts = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 3.0], [0.5, -0.5, 0.25]])
+        times = [0.0, 0.3]
+        out = scene_potential_fields(sources, amb, pts, times, KernelParams(0.0))
+        for t, (phi, grad, singular) in zip(times, out):
+            terms = []
+            for src in sources:
+                d = pts - src.trajectory.position(t)
+                r2 = np.square(d).sum(axis=1)
+                inv = -G * src.mass / np.sqrt(r2)
+                terms.append((inv, (inv / r2)[:, None] * d))
+            # equal values; a zero component may differ in sign, as numpy's sum starts from +0.0
+            np.testing.assert_array_equal(phi, terms[0][0] + terms[1][0])
+            np.testing.assert_array_equal(grad, terms[0][1] + terms[1][1])
+            assert not singular.any()
 
 
 class TestAdaptiveBudget:

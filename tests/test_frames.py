@@ -316,7 +316,7 @@ def test_flyby_turn_rate_and_panels_come_from_the_window():
     assert rates.argmax() == 0
     far = np.array([[0.0, 0.0, 100.0]])
     framed = _framed([Source(1.0, path)], field, [0.0], params)
-    _, _, (nodes, panels, split) = _values(framed, [far], [0.0], params)[0]
+    *_, (nodes, panels, split) = _values(framed, [far], [0.0], params)[0]
     assert (nodes, panels, split) == (83, 8, 0)
 
 
