@@ -379,12 +379,24 @@ def _cmd_scenario(args):
     return 0
 
 
+def _coordinates(points, text, sep):
+    """Each point's "x<sep>y<sep>z", every distinct coordinate value formatted once.
+
+    ``text`` maps a list of floats to their texts. Values are told apart by
+    their bit pattern, so 0.0 and -0.0 keep their own text; a grid's x, y
+    and z take few distinct values among many points.
+    """
+    bits, at = np.unique(np.ascontiguousarray(points, dtype=float).view(np.int64).ravel(), return_inverse=True)
+    cells = map(text(bits.view(float).tolist()).__getitem__, at.tolist())
+    return list(map(sep.join, zip(cells, cells, cells)))
+
+
 def _format_csv(points, slices):
     """CSV text of a map in CSV_HEADER order: one row per point of each (t, (n, 4) values) slice.
 
-    Each point's "x,y,z" is formatted once per map and each t once per slice.
+    Each distinct coordinate is formatted once per map and each t once per slice.
     """
-    xyz = [",".join(map(repr, p)) for p in points.tolist()]
+    xyz = _coordinates(points, lambda values: list(map(repr, values)), ",")
     lines = [CSV_HEADER]
     for t, values in slices:
         head = repr(float(t)) + ","
@@ -392,16 +404,37 @@ def _format_csv(points, slices):
     return "\n".join(lines) + "\n"
 
 
+# json.dumps(doc, indent=2) of a map document up to its rows, and the
+# separator between the items of a row there
+_JSON_HEAD = ('{\n  "schema_version": 1,\n  "columns": [\n'
+              + ",\n".join(f'    "{c}"' for c in CSV_HEADER.split(",")) + '\n  ],\n  "rows": ')
+_JSON_ITEM = ",\n      "
+
+
+def _json_cells(values):
+    """JSON text of each float of a list, as json.dumps writes it, with nan as null."""
+    doc = [None if math.isnan(v) else v for v in values]
+    return json.dumps(doc, separators=(",", ":"))[1:-1].split(",")
+
+
 def _format_json(points, slices):
-    """JSON text of the same rows as _format_csv; nan values are null."""
-    coords = points.tolist()
-    rows = [[float(t), *p, *v] for t, values in slices for p, v in zip(coords, values.tolist())]
-    payload = {
-        "schema_version": 1,
-        "columns": CSV_HEADER.split(","),
-        "rows": [[None if math.isnan(v) else v for v in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON text of the same rows as _format_csv, nan values as null.
+
+    The layout is json.dumps(doc, indent=2)'s, written directly: each
+    slice's values go through json's C encoder in one call, with a row's
+    item separator, and are cut at row boundaries.
+    """
+    xyz = _coordinates(points, _json_cells, _JSON_ITEM)
+    rows = []
+    for t, values in slices:
+        head = "    [\n      " + _json_cells([float(t)])[0] + _JSON_ITEM
+        cells = values.astype(object)
+        cells[np.isnan(values)] = None
+        text = json.dumps(cells.tolist(), separators=(_JSON_ITEM, ": "))
+        rows += [head + p + _JSON_ITEM + v for p, v in zip(xyz, text[2:-2].split("]" + _JSON_ITEM + "["))]
+    if not rows:
+        return _JSON_HEAD + "[]\n}\n"
+    return _JSON_HEAD + "[\n" + "\n    ],\n".join(rows) + "\n    ]\n  ]\n}\n"
 
 
 def _cmd_field(args):

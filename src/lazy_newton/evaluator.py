@@ -50,7 +50,10 @@ __all__ = [
 # points per evaluation block of a time. A panel splits for at most one block
 # of points (_values), so a fixed size keeps a given map's bytes fixed.
 CHUNK = 512
-TILE = 16  # fewest rows of a block summed together (see _tile_rows)
+# fewest rows of a block summed together (see _tile_rows): low enough that the
+# tiles of split sub-panels, thousands of nodes long, stay near TILE_CELLS,
+# while coarse tables of up to 512 nodes keep TILE_CELLS // K rows
+TILE = 4
 TILE_CELLS = 8192  # (rows, K) entries of a tile: one float64 array of 64 KiB
 MAX_SPLIT = 100  # most equal sub-panels one coarse panel splits into near the past path
 MAX_TURN = 4.0  # radians of a winding path (Trajectory.turn_rate) one panel may span
@@ -481,40 +484,45 @@ def _lab_path(path, s, which=None):
 
 
 def _naive(source, count=1, path=None):
-    """(source, path, shifts, frame) of the naive form at ``count`` times: a lab path, no shift, no frame.
+    """(source, path, shifts, turn rates) of the naive form at ``count`` times: a lab path, no shift.
 
     A caller's ``path`` is taken to wind no faster than the trajectory.
     """
     traj = source.trajectory
-    return source, partial(_lab_path, traj.position if path is None else path), np.zeros((count, 3)), None
+    path = partial(_lab_path, traj.position if path is None else path)
+    return source, path, np.zeros((count, 3)), [traj.turn_rate] * count
+
+
+def _slot_path(frame, traj, first, s, which):
+    """Source path relative to the frame slots first + which (build_frames)."""
+    return relative_source_path(frame, traj, s, first + which)
 
 
 def _framed(sources, ambient, times, params):
-    """(source, path, shifts, frame) of each source seen from its free-fall frames matched at ``times``.
+    """(source, path, shifts, turn rates) of each source seen from its free-fall frames matched at ``times``.
 
     ``path(s, which)`` is the source's path relative to the frame of
-    times[which], and shifts[which] that frame's origin at its match time.
-    Each source builds its frames for all times at once. A frame whose path
-    enters the ambient guard raises SingularApproach for the earliest such
-    time, and there for the first such source, as framing the times one by
-    one would.
+    times[which], shifts[which] that frame's origin at its match time, and
+    the turn rate of each time's node table is the trajectory's or, if
+    faster, that frame's. One build_frames call frames every source at
+    every time: source k at times[i] is slot k * T + i of one FreeFallFrame,
+    so one window-start solve gives every guard verdict and turn rate. A
+    frame whose path enters the ambient guard raises SingularApproach for
+    the earliest such time, and there for the first such source, as framing
+    the times and sources one by one would.
     """
     if params.tau_g == 0.0:  # no look-back: only the lab position at t matters
         return [_naive(src, len(times)) for src in sources]
-    frames = [build_frames(src.trajectory, ambient, times, params.t_max) for src in sources]
-    inside = [frame.inside_guard for frame in frames]
-    if any(x.any() for x in inside):
-        i, k = divmod(int(np.argmax(np.array(inside).T)), len(frames))
-        raise frames[k].guard_error(i)
-    return [(src, partial(relative_source_path, frame, src.trajectory), frame.match_origin, frame)
-            for src, frame in zip(sources, frames)]
-
-
-def _turn_rates(traj, frame, count):
-    """Turn rate each of ``count`` node tables is built for: the trajectory's or, if faster, the frame's."""
-    if frame is None:
-        return [traj.turn_rate] * count
-    return np.maximum(traj.turn_rate, frame.turn_rate)
+    count = len(times)
+    frame = build_frames([src.trajectory for src in sources], ambient, times, params.t_max)
+    inside = frame.inside_guard
+    if inside.any():
+        i, k = divmod(int(np.argmax(inside.reshape(-1, count).T)), len(sources))
+        raise frame.guard_error(k * count + i)
+    shifts, rates = frame.match_origin, frame.turn_rate
+    return [(src, partial(_slot_path, frame, src.trajectory, k * count), shifts[k * count:(k + 1) * count],
+             np.maximum(src.trajectory.turn_rate, rates[k * count:(k + 1) * count]))
+            for k, src in enumerate(sources)]
 
 
 def _at(framed, i):
@@ -622,8 +630,7 @@ def _source_nodes(framed, times, params, cache):
     if params.tau_g == 0.0:
         return [_path_nodes(*f[:3], times, None) for f in framed]
     keys = [_table_key(params, _tau_breakpoints(src.trajectory, t, params), rate)
-            for src, _, _, frame in framed
-            for t, rate in zip(times, _turn_rates(src.trajectory, frame, len(times)))]
+            for src, _, _, rates in framed for t, rate in zip(times, rates)]
     tabs = _tables(cache, params, keys)
     count = len(times)
     return [_path_nodes(*f[:3], times, tabs[i * count:(i + 1) * count]) for i, f in enumerate(framed)]

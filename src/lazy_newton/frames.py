@@ -372,36 +372,43 @@ class FreeFallFrame:
         return self._eval(s, 2, which)
 
 
-def build_frames(traj, field, times, horizon):
-    """Free-fall frames of ``traj`` in ``field``, one per match time, as one FreeFallFrame.
+def build_frames(trajs, field, times, horizon):
+    """Free-fall frames of every trajectory of ``trajs`` in ``field`` at every match time, as one FreeFallFrame.
 
-    ZeroField, UniformField and PointMassField are supported; any other
-    ambient raises TypeError. ``times`` is a scalar or a 1-D array. Nothing
-    is refused here: FreeFallFrame.inside_guard marks the match times whose
-    conic comes within the guard radius anywhere in [t - horizon, t].
+    Trajectory k matched at times[i] is the frame's slot k * T + i, so one
+    window-start solve (FreeFallFrame.inside_guard, turn_rate) serves every
+    source of a scene. Each slot's frame is the same, bit for bit, as with
+    any other trajectories or times beside it. ZeroField, UniformField and
+    PointMassField are supported; any other ambient raises TypeError.
+    ``times`` is a scalar or a 1-D array; a scalar and one trajectory give
+    scalar-shaped answers. Nothing is refused here: inside_guard marks the
+    slots whose conic comes within the guard radius anywhere in
+    [t - horizon, t].
     """
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    p_t = np.array(traj.position(times), dtype=float)
-    v_t = np.array(traj.velocity(times), dtype=float)
+    p_t = np.array([traj.position(times) for traj in trajs], dtype=float)  # (S, T, 3), or (S, 3) at one time
+    v_t = np.array([traj.velocity(times) for traj in trajs], dtype=float)
+    slots = times if len(trajs) == 1 else np.tile(times, len(trajs))
     if isinstance(field, ZeroField):
-        return FreeFallFrame(times, horizon, field, p_t, v_t, g=np.zeros(3))
+        return FreeFallFrame(slots, horizon, field, p_t, v_t, g=np.zeros(3))
     if isinstance(field, UniformField):
-        return FreeFallFrame(times, horizon, field, p_t, v_t, g=field.g.copy())
+        return FreeFallFrame(slots, horizon, field, p_t, v_t, g=field.g.copy())
     if not isinstance(field, PointMassField):
         raise TypeError(f"no free-fall frame for ambient {type(field).__name__}")
-    return FreeFallFrame(times, horizon, field, p_t, v_t)
+    return FreeFallFrame(slots, horizon, field, p_t, v_t)
 
 
 def build_frame(traj, field, t, horizon):
     """Construct the free-fall frame of ``traj`` in ``field`` matched at time t.
 
-    The one-time case of build_frames. A point-mass frame whose conic comes
-    within the guard radius anywhere in [t - horizon, t], between samples
-    included, raises SingularApproach with the closest distance and its time.
+    The one-time, one-trajectory case of build_frames. A point-mass frame
+    whose conic comes within the guard radius anywhere in [t - horizon, t],
+    between samples included, raises SingularApproach with the closest
+    distance and its time.
     """
-    frame = build_frames(traj, field, float(t), horizon)
+    frame = build_frames([traj], field, float(t), horizon)
     if frame.inside_guard[0]:
         raise frame.guard_error(0)
     return frame

@@ -570,3 +570,67 @@ class TestFieldCommand:
     def test_nan_cells_round_trip_as_float(self):
         # csv stays parseable when a row is masked
         assert math.isnan(float("nan"))
+
+
+class TestMapWriters:
+    """_format_csv and _format_json against one formatting call per value."""
+
+    @staticmethod
+    def rows(points, slices):
+        return [(float(t), *p, *v) for t, values in slices for p, v in zip(points.tolist(), values.tolist())]
+
+    def reference_csv(self, points, slices):
+        lines = ["t,x,y,z,phi,gx,gy,gz"] + [",".join(map(repr, r)) for r in self.rows(points, slices)]
+        return "\n".join(lines) + "\n"
+
+    def reference_json(self, points, slices):
+        cells = [[None if math.isnan(v) else v for v in r] for r in self.rows(points, slices)]
+        doc = {"schema_version": 1, "columns": "t,x,y,z,phi,gx,gy,gz".split(","), "rows": cells}
+        return json.dumps(doc, indent=2) + "\n"
+
+    def check(self, points, slices):
+        assert cli._format_csv(points, slices) == self.reference_csv(points, slices)
+        assert cli._format_json(points, slices) == self.reference_json(points, slices)
+
+    def test_signed_zeros_non_finite_values_and_notation_switches(self):
+        # 0.0 and -0.0 share one column and must keep their own text; repr
+        # turns to exponent notation at 1e16 and below 1e-4
+        points = np.array([
+            [0.0, -0.0, 1e16],
+            [-0.0, 0.0, 1e-5],
+            [1e16, 1e-5, 0.0],
+            [0.1 + 0.2, -1e-5, -0.0],
+            [0.0, 9999999999999998.0, 1e-4],
+        ])
+        values = np.array([
+            [-1.0, 0.0, -0.0, 1e16],
+            [np.nan, np.nan, np.nan, np.nan],
+            [np.inf, -np.inf, 1e-5, -1e-5],
+            [5e-324, -1.7976931348623157e308, np.nan, 2.5e-16],
+            [1e15, 1e-4, 123456789.0, -0.0],
+        ])
+        self.check(points, [(0.0, values), (-0.0, values[::-1]), (1e16, -values), (1e-5, 0.5 * values)])
+
+    def test_non_finite_coordinates(self):
+        points = np.array([[np.nan, np.inf, -np.inf], [1.0, np.nan, 2.0]])
+        self.check(points, [(0.5, np.array([[1.0, 2.0, 3.0, 4.0], [np.nan, -0.0, np.inf, 0.0]]))])
+
+    def test_one_point_grid_without_axes(self, tmp_path):
+        grid = parse_grid_spec({"origin": [0.25, -0.0, 1e-5], "axes": [], "times": [0.0, 1e-3]})
+        points = grid.points()
+        assert points.shape == (1, 3)
+        slices = [(t, np.array([[-1.5e-10, 1e-12, -0.0, np.nan]]) * (k + 1)) for k, t in enumerate(grid.times)]
+        self.check(points, slices)
+
+    def test_zero_slices(self):
+        points = np.array([[0.0, 1.0, 2.0], [-0.0, 1e16, 1e-5]])
+        self.check(points, [])
+        assert cli._format_csv(points, []) == "t,x,y,z,phi,gx,gy,gz\n"
+        assert json.loads(cli._format_json(points, []))["rows"] == []
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(15)
+        xs = rng.choice([-1.0, -0.0, 0.0, 0.3, 1e16, 1e-5], size=(40, 3))
+        values = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-20, 20, size=(40, 4))
+        values[rng.random((40, 4)) < 0.1] = np.nan
+        self.check(xs, [(t, values) for t in (0.0, 2e-3, 1e-5)])

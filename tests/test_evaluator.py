@@ -37,7 +37,7 @@ from lazy_newton.evaluator import (
     scene_potential_fields,
     superposed_potential,
 )
-from lazy_newton.frames import FreeFallFrame, PointMassField, UniformField, ZeroField
+from lazy_newton.frames import FreeFallFrame, PointMassField, UniformField, ZeroField, build_frame
 from lazy_newton.kinematics import (
     CircularOrbit,
     PiecewiseStatic,
@@ -650,6 +650,90 @@ class TestFramedPotential:
         assert abs(phi - exact) < 1e-11 * abs(exact)
 
 
+class TestMergedFrames:
+    """_framed frames every source of a scene in one FreeFallFrame."""
+
+    @staticmethod
+    def flyby(x_at_zero):
+        # 1 km/s past a 1e10 kg mass at impact parameter 0.5 mm, inside its 1 mm guard
+        return UniformVelocity((x_at_zero, 5e-4, 0.0), (1000.0, 0.0, 0.0))
+
+    def test_each_source_is_framed_as_alone(self):
+        mass = 1e12
+        sources = [
+            Source(k + 1.0, CircularOrbit((0, 0, 0), radius, math.sqrt(G * mass / radius**3), phase=phase))
+            for k, (radius, phase) in enumerate(((1.0, 0.3), (1.5, 2.0), (2.0, 4.1)))
+        ]
+        sources.append(Source(0.5, UniformVelocity((3.0, 0.0, 0.0), (0.0, 3.0, 0.0))))
+        params = KernelParams(1e-3)
+        times = [0.1, 0.102, 0.3, 0.7]
+        s = np.concatenate([t - params.t_max * np.linspace(0.0, 1.0, 17) for t in times])
+        which = np.repeat(np.arange(len(times)), 17)
+        for amb in (PointMassField((0, 0, 0), mass), UniformField((0, 0, -9.81))):
+            framed = _framed(sources, amb, times, params)
+            for src, (own_src, path, shifts, rates) in zip(sources, framed):
+                (_, alone_path, alone_shifts, alone_rates), = _framed([src], amb, times, params)
+                assert own_src is src
+                assert np.array_equal(path(s, which), alone_path(s, which))
+                assert np.array_equal(shifts, alone_shifts)
+                assert np.array_equal(rates, alone_rates)
+
+    def test_one_build_frames_call_per_scene(self, monkeypatch):
+        calls = []
+        original = evaluator.build_frames
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(evaluator, "build_frames", counted)
+        sources = [Source(1.0, Static((0, 0, k))) for k in range(3)]
+        scene_potential_fields(sources, UniformField((0, 0, -9.81)), np.ones((4, 3)) * 5.0, [0.0, 1e-3],
+                               KernelParams(1e-3))
+        assert calls == [3]
+
+    def test_earliest_time_then_first_source(self):
+        # source 1 passes the mass at t = 0 and source 0 at t = 0.02: the
+        # windows (40 ms) of times[1] hold only source 1's periapsis, those
+        # of times[2] both. The error is source 1's at times[1], as framing
+        # that source alone at that time raises it
+        amb = PointMassField((0.0, 0.0, 0.0), 1.0e10, softening=1e-3)
+        sources = [Source(1.0, self.flyby(-20.0)), Source(2.0, self.flyby(0.0))]
+        params = KernelParams(1e-3)
+        times = [-0.2, 0.01, 0.03]
+        frames = [build_frame_error(src, amb, times, params) for src in sources]
+        assert [e is not None for e in frames[0]] == [False, False, True]
+        assert [e is not None for e in frames[1]] == [False, True, True]
+        alone = frames[1][1]
+        pts = np.array([[0.0, 0.0, 5.0]])
+        calls = [
+            lambda: _framed(sources, amb, times, params),
+            lambda: scene_potential_fields(sources, amb, pts, times, params),
+            lambda: superposed_potential(sources, amb, pts[0], times[1], params),
+        ]
+        for call in calls:
+            with pytest.raises(SingularApproach) as merged:
+                call()
+            assert str(merged.value) == str(alone)
+            assert (merged.value.distance, merged.value.when) == (alone.distance, alone.when)
+        # the later time alone names source 0, the first of the two sources inside
+        with pytest.raises(SingularApproach) as later:
+            _framed(sources, amb, times[2:], params)
+        assert str(later.value) == str(frames[0][2])
+
+
+def build_frame_error(src, amb, times, params):
+    """The SingularApproach build_frame raises for ``src`` at each of ``times``, or None."""
+    out = []
+    for t in times:
+        try:
+            build_frame(src.trajectory, amb, t, params.t_max)
+            out.append(None)
+        except SingularApproach as exc:
+            out.append(exc)
+    return out
+
+
 class TestDelayedField:
     def test_static_source_field(self):
         src = Source(3.0, Static((0, 0, 0)))
@@ -836,7 +920,7 @@ class TestSceneEvaluation:
         assert grad.tobytes() == np.concatenate(block_grad).tobytes()
 
     def test_tile_rows_do_not_change_bytes(self, monkeypatch):
-        # K-derived tiles (here 2 x 83 nodes: 49 rows) against 16-row tiles,
+        # K-derived tiles (here 2 x 83 nodes: 49 rows) against TILE-row tiles,
         # on a map whose rows near a fast orbit split panels
         sources = [
             Source(1.0, CircularOrbit((0, 0, 0), 1.0, 100.0)),
@@ -857,7 +941,8 @@ class TestSceneEvaluation:
 
     def test_point_mass_frames_skip_the_match_time_solve(self, monkeypatch):
         # the origin at the match time is the source's own position there;
-        # the nodes take one solve per source and the window start at most one
+        # the nodes take one solve per source and the window starts of every
+        # source at most one, since one frame holds them all
         mass = 1e12
         sources = [
             Source(1.0, CircularOrbit((0, 0, 0), radius, math.sqrt(G * mass / radius**3), phase=phase))
@@ -874,7 +959,7 @@ class TestSceneEvaluation:
         monkeypatch.setattr(FreeFallFrame, "origin", counted)
         t = 0.37
         scene = prepare_scene(sources, amb, t, KernelParams(1e-3))
-        assert len(calls) <= 2 * len(sources)
+        assert len(calls) <= len(sources) + 1
         assert not any(s.ndim == 0 and s == t for s in calls)
         monkeypatch.undo()
         positions = np.array([src.trajectory.position(t) for src in sources])
@@ -885,7 +970,7 @@ class TestSceneEvaluation:
         sources, amb = self.scene()
         params = KernelParams(1e-3)
         rng = np.random.default_rng(3)
-        pts = rng.uniform(-2, 2, (2 * TILE + 5, 3)) + np.array([0.0, 0.0, 3.0])
+        pts = rng.uniform(-2, 2, (37, 3)) + np.array([0.0, 0.0, 3.0])
         pts[7] = [1.0, 0.002, 0.0]  # near the orbit, where the coarse table splits
         scene = prepare_scene(sources, amb, 0.0, params)
         assert _split_counts(scene, _tile(pts, scene.coords)[2]).max() > 1
