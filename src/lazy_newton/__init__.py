@@ -11,7 +11,6 @@ from .errors import (
     AdaptiveBudgetExceeded, ConfigError, LazyNewtonError, RegimeError, SingularApproach
 )
 from .evaluator import (
-    AdaptiveSimpson,
     GaussLegendre,
     KernelParams,
     Source,
@@ -83,7 +82,6 @@ __all__ = [
     "build_frames",
     "relative_source_path",
     "GaussLegendre",
-    "AdaptiveSimpson",
     "KernelParams",
     "Source",
     "kernel_weights",

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, RegimeError, SingularApproach
 from .evaluator import (
-    AdaptiveSimpson,
     GaussLegendre,
     KernelParams,
     Source,
@@ -184,24 +183,17 @@ def _parse_ambient(path, data):
 def _parse_quadrature(path, data):
     f = _Fields(path, data)
     scheme = f.take("scheme")
-    if scheme == "gauss_legendre":
-        default = GaussLegendre()
-        out = GaussLegendre(
-            _as_int(f"{path}.order", f.take("order", default.order), minimum=2),
-            _as_float(
-                f"{path}.max_segment_tau_g",
-                f.take("max_segment_tau_g", default.max_segment_tau_g),
-                positive=True,
-            ),
-        )
-    elif scheme == "adaptive_simpson":
-        rel_tol = _as_float(f"{path}.rel_tol", f.take("rel_tol", AdaptiveSimpson().rel_tol),
-                            positive=True)
-        if rel_tol > 1e-6:
-            raise ConfigError(f"{path}.rel_tol", "must be <= 1e-6")
-        out = AdaptiveSimpson(rel_tol)
-    else:
+    if scheme != "gauss_legendre":
         raise ConfigError(f"{path}.scheme", f"unknown quadrature scheme {scheme!r}")
+    default = GaussLegendre()
+    out = GaussLegendre(
+        _as_int(f"{path}.order", f.take("order", default.order), minimum=2),
+        _as_float(
+            f"{path}.max_segment_tau_g",
+            f.take("max_segment_tau_g", default.max_segment_tau_g),
+            positive=True,
+        ),
+    )
     f.finish()
     return out
 

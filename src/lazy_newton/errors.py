@@ -21,7 +21,7 @@ class SingularApproach(LazyNewtonError):
 
 
 class AdaptiveBudgetExceeded(LazyNewtonError, RuntimeError):
-    """Adaptive quadrature spent its evaluation budget, e.g. on a point on the past path."""
+    """The boost prediction's adaptive Simpson ran out of evaluations, e.g. on a probe on the past path."""
 
 
 class RegimeError(LazyNewtonError, ValueError):

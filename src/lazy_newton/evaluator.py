@@ -25,13 +25,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import G
-from .errors import AdaptiveBudgetExceeded, SingularApproach
+from .errors import SingularApproach
 from .frames import build_frames, relative_source_path
 from .kinematics import as_vec3
 
 __all__ = [
     "GaussLegendre",
-    "AdaptiveSimpson",
     "KernelParams",
     "Source",
     "KernelNodes",
@@ -60,9 +59,6 @@ MAX_TURN = 4.0  # radians of a winding path (Trajectory.turn_rate) one panel may
 # 2 ln(2 + sqrt 5), correctly rounded: the exponent each Gauss-Legendre node
 # gains on a panel whose nearest singularity sits at rho = 2 + sqrt 5 (_panel_orders)
 _NODE_GAIN = 2.8872709503576206
-# integrand evaluations one adaptive integral may spend; the test suite's
-# hardest converging integral needs about 12,000
-_ADAPTIVE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -94,18 +90,6 @@ class GaussLegendre:
 
 
 @dataclass(frozen=True)
-class AdaptiveSimpson:
-    """Globally adaptive Simpson rule with Richardson acceptance test."""
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise ValueError("rel_tol must be in (0, 1e-6]")
-
-
-@dataclass(frozen=True)
 class KernelParams:
     """Memory-kernel time constant and evaluation controls.
 
@@ -118,7 +102,7 @@ class KernelParams:
     tau_g: float
     t_max_factor: float = 40.0
     softening_eps: float = 1e-9
-    quadrature: object = field(default_factory=GaussLegendre)
+    quadrature: GaussLegendre = field(default_factory=GaussLegendre)
 
     def __post_init__(self):
         object.__setattr__(self, "tau_g", float(self.tau_g))
@@ -130,8 +114,8 @@ class KernelParams:
             raise ValueError("t_max_factor must be >= 20 (keeps the dropped tail negligible)")
         if not self.softening_eps > 0.0:
             raise ValueError("softening_eps must be positive")
-        if not isinstance(self.quadrature, (GaussLegendre, AdaptiveSimpson)):
-            raise ValueError("quadrature must be GaussLegendre or AdaptiveSimpson")
+        if not isinstance(self.quadrature, GaussLegendre):
+            raise ValueError("quadrature must be GaussLegendre")
 
     @property
     def t_max(self):
@@ -378,15 +362,11 @@ def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     less than 1 / MAX_SPLIT of the former. A 32-point panel over many turns
     of an orbit aliases it: at omega tau_g = 25, 5 tau_g panels missed a
     field point 64 radii off the orbit by 3e-5 relative. Each panel's order
-    follows from its start lag (_panel_orders). Only the
-    Gauss-Legendre scheme has a fixed node table; the adaptive scheme
-    chooses nodes per integrand and is rejected here. tau_g = 0 has no
-    kernel at all (instantaneous limit). This is _kernel_tables for one key.
+    follows from its start lag (_panel_orders). tau_g = 0 has no kernel at
+    all (instantaneous limit). This is _kernel_tables for one key.
     """
     if params.tau_g == 0.0:
         raise ValueError("tau_g = 0 is the instantaneous limit; it has no kernel nodes")
-    if not isinstance(params.quadrature, GaussLegendre):
-        raise ValueError("kernel_weights needs the fixed-node GaussLegendre scheme")
     taus, weights, lo, _, starts, _ = _kernel_tables(params, [_table_key(params, breakpoints, turn_rate)])
     return KernelNodes(taus, weights, np.append(lo, params.t_max), starts)
 
@@ -406,73 +386,6 @@ def _instantaneous(mass, pos, r, eps):
 def _guard_error(d, when, eps, i):
     msg = f"source {i}: field point {d:.3e} m from the past source path (guard radius {eps:.3e} m)"
     return SingularApproach(msg, distance=d, when=when, source_index=i)
-
-
-def _adaptive_integral(f, bounds, rel_tol):
-    """Adaptive Simpson of an integrand over consecutive segments, refined level by level.
-
-    ``f`` maps an array of lags to their values, (n,) or (n, c); each level
-    asks for the new points of all its unconverged intervals in one call.
-    An interval is accepted once its Richardson error, the largest over the
-    components, is within 15 times its tolerance, or at depth 48; its halves
-    share its tolerance. The tree of intervals and the order of the
-    additions (each pair of halves, then the segments left to right) are
-    those of the usual recursive rule, so evaluating by levels changes no
-    bit. Integrands the rule cannot resolve, such as a field point on the
-    past path, raise AdaptiveBudgetExceeded after _ADAPTIVE_BUDGET
-    evaluations instead of refining without end. Returns a float for a
-    scalar integrand, else a (c,) array.
-    """
-    used = 0
-
-    def charge(n):  # before the n points are laid out, so a spent budget allocates nothing more
-        nonlocal used
-        used += n
-        if used > _ADAPTIVE_BUDGET:
-            raise AdaptiveBudgetExceeded(
-                f"adaptive Simpson: no convergence in {_ADAPTIVE_BUDGET} evaluations")
-
-    a, b = np.array(bounds[:-1], dtype=float), np.array(bounds[1:], dtype=float)
-    charge(3 * a.size)
-    x = np.column_stack([a, 0.5 * (a + b), b])
-    fx = np.asarray(f(x.ravel()), dtype=float)
-    scalar = fx.ndim == 1
-    # each interval's lags a, m, b and the values there, (n, 3, 1 + c)
-    ends = np.concatenate([x[:, :, None], fx.reshape(a.size, 3, -1)], axis=2)
-    whole = ((b - a) / 6.0)[:, None] * (ends[:, 0, 1:] + 4.0 * ends[:, 1, 1:] + ends[:, 2, 1:])
-    scale = float(np.max(np.abs(sum(whole))))
-    tol = rel_tol * (scale if scale > 0.0 else 1.0) / a.size
-    # of an interval's lags a, m, b and quarter points, those of its halves
-    halves_at = np.array([0, 3, 1, 1, 4, 2])
-    levels = []  # per level, each interval's accepted value and whether it was refined instead
-    charge(2 * a.size)
-    for depth in range(49):
-        x = ends[:, :, 0]
-        q = 0.5 * (x[:, :2] + x[:, 1:])  # quarter points
-        fq = np.asarray(f(q.ravel()), dtype=float).reshape(len(x), 2, -1)
-        # Simpson on the left and right halves, (n, 2, c)
-        halves = ends[:, :2, 1:] + 4.0 * fq + ends[:, 1:, 1:]
-        halves *= ((x[:, 1:] - x[:, :2]) / 6.0)[:, :, None]
-        both = halves[:, 0] + halves[:, 1]
-        delta = both - whole
-        refine = ~(np.abs(delta).max(axis=1) <= 15.0 * tol)
-        levels.append((both + delta / 15.0, refine))
-        if depth == 48 or not refine.any():
-            refine[:] = False
-            break
-        charge(4 * np.count_nonzero(refine))  # the next level's quarter points
-        # each refined interval's left then right half
-        five = np.concatenate([ends, np.concatenate([q[:, :, None], fq], axis=2)], axis=1)
-        ends = five[refine][:, halves_at].reshape(-1, 3, five.shape[2])
-        whole = halves[refine].reshape(-1, fq.shape[2])
-        tol *= 0.5
-    total = None
-    for value, refine in reversed(levels):
-        if total is not None:
-            value[refine] = total[0::2] + total[1::2]
-        total = value
-    total = sum(total)  # the segments in order, as the recursive rule adds them
-    return float(total[0]) if scalar else total
 
 
 def _tau_breakpoints(trajectory, t, params):
@@ -523,11 +436,6 @@ def _framed(sources, ambient, times, params):
     return [(src, partial(_slot_path, frame, src.trajectory, k * count), shifts[k * count:(k + 1) * count],
              np.maximum(src.trajectory.turn_rate, rates[k * count:(k + 1) * count]))
             for k, src in enumerate(sources)]
-
-
-def _at(framed, i):
-    """The (source, path, shift) of each source at time index i of _framed."""
-    return [(src, partial(path, which=i), shifts[i]) for src, path, shifts, _ in framed]
 
 
 class _Table(NamedTuple):
@@ -636,35 +544,6 @@ def _source_nodes(framed, times, params, cache):
     return [_path_nodes(*f[:3], times, tabs[i * count:(i + 1) * count]) for i, f in enumerate(framed)]
 
 
-def _adaptive_point(framed, r, t, params):
-    """Adaptive-Simpson (potential, field x, y, z) at one point, summed over sources.
-
-    ``framed`` holds (source, path, shift) as _at gives it.
-    The rule picks its own nodes per integrand, so it cross-checks the
-    node-table route rather than sharing its errors. Each level's new lags
-    go to the path in one call.
-    """
-    tau_g = params.tau_g
-    eps = params.softening_eps
-    total = np.zeros(4)
-    for i, (src, path, shift) in enumerate(framed):
-
-        def f(taus, mass=src.mass, path=path, rel=r - shift, i=i):
-            taus = np.asarray(taus, dtype=float)
-            u = rel - path(t - taus)
-            d2 = np.einsum("kj,kj->k", u, u)
-            d = np.sqrt(d2)
-            if np.any(d <= eps):
-                k = int(np.argmax(d <= eps))
-                raise _guard_error(float(d[k]), t - float(taus[k]), eps, i)
-            c = np.exp(-taus / tau_g) / tau_g * (-G * mass)
-            return np.column_stack([c / d, (c / (d2 * d))[:, None] * u])
-
-        bps = _clean_breakpoints(_tau_breakpoints(src.trajectory, t, params), params.t_max)
-        total += _adaptive_integral(f, [0.0] + bps + [params.t_max], params.quadrature.rel_tol)
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedScene:
     """Sources reduced to weighted effective point masses at one evaluation time.
@@ -713,7 +592,7 @@ def _scene(parts, framed, i, t, params):
     sizes = joined("sizes", panels, np.zeros(0, dtype=int))
     starts = np.concatenate([[0], np.cumsum(sizes)])
     sources = np.repeat(np.arange(len(parts)), [b - a for a, b in panels])
-    paths = tuple((path, shift, -G * src.mass) for src, path, shift in _at(framed, i))
+    paths = tuple((partial(path, which=i), shifts[i], -G * src.mass) for src, path, shifts, _ in framed)
     coords = np.ascontiguousarray(joined("positions", nodes, np.zeros((0, 3))).T)
     return PreparedScene(
         coords, joined("weights", nodes, np.zeros(0)), joined("lags", nodes, np.zeros(0)), tuple(counts),
@@ -731,8 +610,6 @@ def prepare_scenes(sources, ambient, times, params):
     A scene is the same, bit for bit, whichever other times it was prepared
     with.
     """
-    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
-        raise ValueError("scene preparation needs a fixed node table; use GaussLegendre")
     times = [float(t) for t in times]
     if not times:
         return []
@@ -891,20 +768,6 @@ def _split_sums(scene, counts, pts, phi, grad, singular):
     return error
 
 
-def _adaptive_values(framed, pts, t, params):
-    """_values at one time by the adaptive scheme, one point at a time, guarded points masked; no panels."""
-    out = np.full((pts.shape[0], 4), np.nan)
-    singular = np.zeros(pts.shape[0], dtype=bool)
-    error = None
-    for k, r in enumerate(pts):
-        try:
-            out[k] = _adaptive_point(framed, r, t, params)
-        except SingularApproach as exc:
-            singular[k] = True
-            error = error or exc
-    return out[:, 0], out[:, 1:], singular, error, (0, 0, 0)
-
-
 def _values(framed, points, times, params, tables=None):
     """Per time: potential (n,), field (n, 3), guard mask (n,), guard error and evaluated table.
 
@@ -928,12 +791,9 @@ def _values(framed, points, times, params, tables=None):
     of the time's first guarded point, naming the nearest node it was
     summed against (_guard_hit); _checked raises the earliest. The table
     (nodes, panels, split panels) is summed over sources, split panels at
-    their largest split, and all zero without a Gauss-Legendre kernel.
+    their largest split.
     ``tables`` keeps node tables between calls (see _tables).
     """
-    if isinstance(params.quadrature, AdaptiveSimpson) and params.tau_g > 0.0:
-        return [_adaptive_values(_at(framed, i), pts, t, params)
-                for i, (t, pts) in enumerate(zip(times, points))]
     parts = _source_nodes(framed, times, params, {} if tables is None else tables)
     eps, count = params.softening_eps, len(times)
     # (3, K) of every node of every time, source after source
@@ -943,7 +803,7 @@ def _values(framed, points, times, params, tables=None):
     node_at = [(p.node_at + o).tolist() for p, o in zip(parts, offsets)]
     panel_at = [p.panel_at.tolist() for p in parts]
     reach = reduce(np.maximum, [_reach(p.lengths, p.gaps, p.panel_at) for p in parts], np.zeros(count))
-    order = getattr(params.quadrature, "order", 0)
+    order = params.quadrature.order
     scenes = {}
 
     def scene(i):

@@ -17,11 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import G
-from .errors import RegimeError, SingularApproach
+from .errors import AdaptiveBudgetExceeded, RegimeError, SingularApproach
 from .evaluator import (
     KernelParams,
     Source,
-    _adaptive_integral,
     _checked,
     _framed,
     _naive,
@@ -135,7 +134,7 @@ def _kernel_diagnostics(params, n_evals, tables):
     """The largest node table the runner evaluated with, split panels included.
 
     ``tables`` holds one (nodes, panels, split panels) per evaluation;
-    adaptive runs and the Newtonian limit have none.
+    the Newtonian limit has none.
     """
     nodes, segments, split = max(tables) if params.tau_g > 0.0 else (0, 0, 0)
     return {
@@ -559,6 +558,70 @@ def _boosted_kernel_average(v, params, r):
         steps = float(np.linalg.norm(np.cross(r, s))) / speed2 * 4.0 ** np.arange(64)
         steps = steps[(steps > 0.0) & (steps < 1.0)]
         cuts.update(float(u) for u in np.concatenate([u0 - steps, u0 + steps]) if 0.0 < u < u_max)
-    rel_tol = getattr(params.quadrature, "rel_tol", 1e-13)
-    total = _adaptive_integral(f, [0.0, *sorted(cuts), u_max], min(rel_tol, 1e-13))
+    total = _adaptive_integral(f, [0.0, *sorted(cuts), u_max], 1e-13)
     return total / (1.0 - math.exp(-u_max))
+
+
+# integrand evaluations one adaptive integral may spend; the test suite's
+# hardest converging integral, a perpendicular boost at the gate's
+# |v| tau_g / |r| = 1e6, needs 27,244
+_ADAPTIVE_BUDGET = 100_000
+
+
+def _adaptive_integral(f, bounds, rel_tol):
+    """Adaptive Simpson of a scalar integrand over consecutive segments, refined level by level.
+
+    ``f`` maps an array of lags to an array of values; each level asks for
+    the new points of all its unconverged intervals in one call. An
+    interval is accepted once its Richardson error is within 15 times its
+    tolerance, or at depth 48; its halves share its tolerance. The tree of
+    intervals and the order of the additions (each pair of halves, then the
+    segments left to right) are those of the usual recursive rule, so
+    evaluating by levels changes no bit. Integrands the rule cannot
+    resolve, such as a probe on the past path, raise AdaptiveBudgetExceeded
+    after _ADAPTIVE_BUDGET evaluations instead of refining without end.
+    """
+    used = 0
+
+    def charge(n):  # before the n points are laid out, so a spent budget allocates nothing more
+        nonlocal used
+        used += n
+        if used > _ADAPTIVE_BUDGET:
+            raise AdaptiveBudgetExceeded(
+                f"adaptive Simpson: no convergence in {_ADAPTIVE_BUDGET} evaluations")
+
+    a, b = np.array(bounds[:-1], dtype=float), np.array(bounds[1:], dtype=float)
+    charge(3 * a.size)
+    # each interval's lags a, m, b (n, 3) and the values there
+    x = np.column_stack([a, 0.5 * (a + b), b])
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    whole = (b - a) / 6.0 * (y[:, 0] + 4.0 * y[:, 1] + y[:, 2])
+    scale = abs(float(sum(whole)))
+    tol = rel_tol * (scale if scale > 0.0 else 1.0) / a.size
+    # of an interval's lags a, m, b and quarter points, those of its halves
+    halves_at = np.array([0, 3, 1, 1, 4, 2])
+    levels = []  # per level, each interval's accepted value and whether it was refined instead
+    charge(2 * a.size)
+    for depth in range(49):
+        q = 0.5 * (x[:, :2] + x[:, 1:])  # quarter points
+        fq = np.asarray(f(q.ravel()), dtype=float).reshape(q.shape)
+        # Simpson on the left and right halves, (n, 2)
+        halves = (y[:, :2] + 4.0 * fq + y[:, 1:]) * ((x[:, 1:] - x[:, :2]) / 6.0)
+        both = halves[:, 0] + halves[:, 1]
+        delta = both - whole
+        refine = ~(np.abs(delta) <= 15.0 * tol)
+        levels.append((both + delta / 15.0, refine))
+        if depth == 48 or not refine.any():
+            break
+        charge(4 * np.count_nonzero(refine))  # the next level's quarter points
+        # each refined interval's left then right half
+        x = np.concatenate([x, q], axis=1)[refine][:, halves_at].reshape(-1, 3)
+        y = np.concatenate([y, fq], axis=1)[refine][:, halves_at].reshape(-1, 3)
+        whole = halves[refine].ravel()
+        tol *= 0.5
+    total = None
+    for value, refine in reversed(levels):
+        if total is not None:
+            value[refine] = total[0::2] + total[1::2]
+        total = value
+    return float(sum(total))  # the segments in order, as the recursive rule adds them

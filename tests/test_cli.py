@@ -14,7 +14,6 @@ from lazy_newton.constants import G
 from lazy_newton.errors import ConfigError, SingularApproach
 from lazy_newton.evaluator import (
     CHUNK,
-    AdaptiveSimpson,
     GaussLegendre,
     KernelParams,
     _framed,
@@ -120,7 +119,7 @@ class TestSceneConfig:
             ],
             "ambient": {"kind": "point_mass", "position": [0, 0, -10], "mass_kg": 5e10},
             "tau_g_s": 0.0,
-            "quadrature": {"scheme": "adaptive_simpson", "rel_tol": 1e-10},
+            "quadrature": {"scheme": "gauss_legendre", "order": 48, "max_segment_tau_g": 2.5},
         }
         cfg = parse_scene_config(doc)
         static, velocity, acceleration, sampled = (src.trajectory for src in cfg.sources)
@@ -136,7 +135,7 @@ class TestSceneConfig:
         assert type(cfg.ambient) is PointMassField
         assert (cfg.ambient.position.tolist(), cfg.ambient.mass, cfg.ambient.softening) == (
             [0.0, 0.0, -10.0], 5e10, 1e-9)
-        assert cfg.params == KernelParams(0.0, quadrature=AdaptiveSimpson(1e-10))
+        assert cfg.params == KernelParams(0.0, quadrature=GaussLegendre(48, 2.5))
 
     def test_unknown_key_has_dotted_path(self):
         doc = scene_doc()
@@ -182,10 +181,14 @@ class TestSceneConfig:
         assert parse_scene_config(doc).params.quadrature == GaussLegendre()
         doc["quadrature"] = {"scheme": "gauss_legendre", "order": 16}
         assert parse_scene_config(doc).params.quadrature == GaussLegendre(order=16)
-        doc["quadrature"] = {"scheme": "adaptive_simpson"}
-        assert parse_scene_config(doc).params.quadrature == AdaptiveSimpson()
         args = _build_parser().parse_args(["scenario", "static"])
         assert args.order == GaussLegendre().order
+
+    def test_adaptive_simpson_is_an_unknown_scheme(self):
+        doc = scene_doc()
+        doc["quadrature"] = {"scheme": "adaptive_simpson"}
+        with pytest.raises(ConfigError, match=r"scene\.quadrature\.scheme: unknown quadrature scheme"):
+            parse_scene_config(doc)
 
 
 class TestGridSpec:
@@ -566,6 +569,13 @@ class TestFieldCommand:
         bad_scene = write_json(tmp_path / "bad.json", {"sources": [], "tau_g_s": -1.0})
         assert main(["field", "--config", bad_scene, "--grid", grd]) == 2
         capsys.readouterr()
+
+    def test_adaptive_simpson_config_exits_2(self, tmp_path, capsys):
+        scene = dict(scene_doc(), quadrature={"scheme": "adaptive_simpson"})
+        code, out = self.run_field(tmp_path, scene=scene)
+        assert code == 2 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "scene.quadrature.scheme" in captured.err
 
     def test_nan_cells_round_trip_as_float(self):
         # csv stays parseable when a row is masked

@@ -11,15 +11,13 @@ from scipy.special import struve, y0
 
 import lazy_newton.evaluator as evaluator
 from lazy_newton.constants import G
-from lazy_newton.errors import AdaptiveBudgetExceeded, LazyNewtonError, SingularApproach
+from lazy_newton.errors import SingularApproach
 from lazy_newton.evaluator import (
     CHUNK,
     TILE,
-    AdaptiveSimpson,
     GaussLegendre,
     KernelParams,
     Source,
-    _adaptive_integral,
     _framed,
     _gauss_legendre,
     _panel_nodes,
@@ -123,11 +121,9 @@ class TestKernelWeights:
                 np.testing.assert_array_equal(doubled.edges, base.edges)
                 assert np.all(np.diff(doubled.starts) > np.diff(base.starts))
 
-    def test_rejects_instantaneous_and_adaptive(self):
+    def test_rejects_instantaneous(self):
         with pytest.raises(ValueError):
             kernel_weights(KernelParams(0.0))
-        with pytest.raises(ValueError):
-            kernel_weights(KernelParams(1e-3, quadrature=AdaptiveSimpson()))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -330,9 +326,7 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             GaussLegendre(max_segment_tau_g=0.0)
         with pytest.raises(ValueError):
-            AdaptiveSimpson(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveSimpson(rel_tol=2e-6)
+            KernelParams(1e-3, quadrature=object())
 
     def test_source_mass(self):
         with pytest.raises(ValueError):
@@ -624,30 +618,6 @@ class TestFramedPotential:
         ratio = abs(phi) / G
         assert abs(ratio - (1.0 + omega**2 * tau_g**2)) < 1e-2 * omega**2 * tau_g**2 + 1e-15
 
-    def test_gl_and_adaptive_agree(self):
-        src = Source(1.0, CircularOrbit((0, 0, 0), 1.0, 10.0))
-        r = np.array([0.3, -0.1, 0.2])
-        gl = delayed_potential(src, ZeroField(), r, 0.0, KernelParams(1e-3))
-        ad = delayed_potential(
-            src, ZeroField(), r, 0.0, KernelParams(1e-3, quadrature=AdaptiveSimpson(1e-12))
-        )
-        assert abs(gl - ad) < 1e-11 * abs(gl)
-
-    def test_adaptive_handles_path_kinks(self):
-        tau_g = 1e-3
-        a = np.array([0.0, 0.0, 0.01])
-        src = Source(2.0, PiecewiseStatic([(-100.0, (0, 0, 0)), (0.0, a)]))
-        r = np.array([0.0, 0.1, 0.0])
-        t = 7e-4
-        phi = delayed_potential_naive(
-            src, r, t, KernelParams(tau_g, quadrature=AdaptiveSimpson(1e-12))
-        )
-        phi_old = -G * 2.0 / np.linalg.norm(r)
-        phi_new = -G * 2.0 / np.linalg.norm(r - a)
-        exact = (1.0 - math.exp(-t / tau_g)) * phi_new + (
-            math.exp(-t / tau_g) - math.exp(-40.0)
-        ) * phi_old
-        assert abs(phi - exact) < 1e-11 * abs(exact)
 
 
 class TestMergedFrames:
@@ -841,11 +811,6 @@ class TestSceneEvaluation:
             for (_, shift, coef), (_, shift1, coef1) in zip(scene.paths, alone.paths):
                 assert shift.tobytes() == shift1.tobytes() and coef == coef1
 
-    def test_prepare_scene_rejects_adaptive(self):
-        sources, amb = self.scene()
-        with pytest.raises(ValueError):
-            prepare_scene(sources, amb, 0.0, KernelParams(1e-3, quadrature=AdaptiveSimpson()))
-
     def test_matches_per_point_evaluators(self):
         sources, amb = self.scene()
         params = KernelParams(1e-3)
@@ -980,18 +945,35 @@ class TestSceneEvaluation:
             assert phi1.tobytes() == phi[k:k + 1].tobytes()
             assert grad1.tobytes() == grad[k:k + 1].tobytes()
 
-    def test_adaptive_scheme_scene_agrees(self):
+    def test_scene_matches_quad_of_the_parabola_frame(self):
+        # in uniform g each source's free-fall frame is the parabola through
+        # its state at t, so the retarded point at lag tau, shifted back to
+        # the lab, is q(tau) = x(t - tau) + tau v(t) - tau^2 g / 2
         sources, amb = self.scene()
+        tau_g, t = 1e-3, 0.0
+        g = np.array([0.0, 0.0, -9.81])
         pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.5, -0.5, 1.0]])
-        gl = scene_potential_field(sources, amb, pts, 0.0, KernelParams(1e-3))
-        ad = scene_potential_field(
-            sources, amb, pts, 0.0, KernelParams(1e-3, quadrature=AdaptiveSimpson(1e-12))
-        )
-        assert list(gl[2]) == list(ad[2])
-        good = ~gl[2]
-        np.testing.assert_allclose(ad[0][good], gl[0][good], rtol=1e-10)
-        np.testing.assert_allclose(ad[1][good], gl[1][good], rtol=1e-9, atol=1e-22)
+        phi, grad, singular = scene_potential_field(sources, amb, pts, t, KernelParams(tau_g))
+        assert singular.tolist() == [False, True, False]  # the middle point sits on the static source
+        assert np.isnan(phi[1]) and np.isnan(grad[1]).all()
+        for k in (0, 2):
+            want = np.zeros(4)  # potential, then field x, y and z
+            for src in sources:
+                traj = src.trajectory
 
+                def term(u, c, traj=traj, v=traj.velocity(t)):
+                    tau = u * tau_g
+                    d = pts[k] - (traj.position(t - tau) + tau * v - 0.5 * tau * tau * g)
+                    dist = math.sqrt(d @ d)
+                    return math.exp(-u) * (1.0 / dist if c == 0 else d[c - 1] / dist**3)
+
+                for c in range(4):
+                    val, err = quad(term, 0.0, 40.0, args=(c,), epsabs=0.0, epsrel=1e-13, limit=200,
+                                    points=(1.0, 5.0, 15.0))
+                    assert err <= 1e-12 * abs(val)
+                    want[c] += -G * src.mass * val
+            np.testing.assert_allclose(phi[k], want[0], rtol=1e-10)
+            np.testing.assert_allclose(grad[k], want[1:], rtol=1e-9, atol=1e-22)
 
 def one_time(sources, amb, r, t, params):
     """Potential and field of one point at one time, as a one-point field map sums it."""
@@ -1124,56 +1106,22 @@ class TestMapEdges:
         sources = [Source(2.0, Static((0, 0, 0))), Source(1.0, CircularOrbit((0, 0, 0), 1.0, 10.0))]
         return sources, UniformField((0, 0, -9.81))
 
-    def test_adaptive_map_rows_equal_point_calls(self):
-        # the guarded row sits on the orbiting source at t = 0; each other
-        # row is the point calls' value, bit for bit
-        src = Source(1.0, CircularOrbit((0, 0, 0), 1.0, 10.0))
-        amb = UniformField((0, 0, -9.81))
-        params = KernelParams(1e-3, quadrature=AdaptiveSimpson(1e-10))
-        pts = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.5, -0.5, 1.0], [0.3, 0.2, 0.1]])
-        times = [0.0, 2e-3]
-        masked = []
-        for t, (phi, grad, singular) in zip(times, scene_potential_fields([src], amb, pts, times, params)):
-            for k, r in enumerate(pts):
-                try:
-                    expected = (delayed_potential(src, amb, r, t, params),
-                                delayed_field(src, amb, r, t, params))
-                except SingularApproach:
-                    assert singular[k] and np.isnan(phi[k]) and np.isnan(grad[k]).all()
-                    masked.append((t, k))
-                else:
-                    assert not singular[k]
-                    assert phi[k] == expected[0] and grad[k].tobytes() == expected[1].tobytes()
-        assert masked == [(0.0, 1)]
-
-    def test_adaptive_map_budget_raises(self):
-        # no integral meets a tolerance below the rounding of its terms
-        sources, amb = self.scene()
-        params = KernelParams(1e-3, quadrature=AdaptiveSimpson(1e-18))
-        with pytest.raises(AdaptiveBudgetExceeded):
-            delayed_potential(sources[1], amb, (0.5, 0.0, 0.1), 0.0, params)
-        with pytest.raises(AdaptiveBudgetExceeded):
-            scene_potential_fields(sources, amb, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.1]], [0.0], params)
-
     def test_no_points(self):
         sources, amb = self.scene()
         out = scene_potential_fields(sources, amb, np.zeros((0, 3)), [0.0, 1e-3], KernelParams(1e-3))
         shapes = [(phi.shape, grad.shape, singular.shape) for phi, grad, singular in out]
         assert shapes == [((0,), (0, 3), (0,))] * 2
 
-    @pytest.mark.parametrize("quadrature", [GaussLegendre(), AdaptiveSimpson()],
-                             ids=["gauss_legendre", "adaptive"])
-    def test_no_times(self, quadrature):
+    @pytest.mark.parametrize("tau_g", [1e-3, 0.0], ids=["gauss_legendre", "newtonian"])
+    def test_no_times(self, tau_g):
         sources, amb = self.scene()
-        params = KernelParams(1e-3, quadrature=quadrature)
-        assert scene_potential_fields(sources, amb, [[0.0, 0.0, 1.0]], [], params) == []
+        assert scene_potential_fields(sources, amb, [[0.0, 0.0, 1.0]], [], KernelParams(tau_g)) == []
 
-    @pytest.mark.parametrize("quadrature", [GaussLegendre(), AdaptiveSimpson()],
-                             ids=["gauss_legendre", "adaptive"])
-    def test_no_sources(self, quadrature):
+    @pytest.mark.parametrize("tau_g", [1e-3, 0.0], ids=["gauss_legendre", "newtonian"])
+    def test_no_sources(self, tau_g):
         _, amb = self.scene()
         out = scene_potential_fields([], amb, [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]], [0.0, 1e-3],
-                                     KernelParams(1e-3, quadrature=quadrature))
+                                     KernelParams(tau_g))
         assert len(out) == 2
         for phi, grad, singular in out:
             assert phi.tolist() == [0.0, 0.0] and grad.tolist() == [[0.0] * 3] * 2
@@ -1198,14 +1146,3 @@ class TestMapEdges:
             np.testing.assert_array_equal(grad, terms[0][1] + terms[1][1])
             assert not singular.any()
 
-
-class TestAdaptiveBudget:
-    def test_unresolvable_integrand_raises_named_error(self):
-        # 1/|u - c| is not integrable, so refinement never converges
-        def f(u):
-            return 1.0 / np.abs(u - 0.3 * math.pi)
-
-        with pytest.raises(AdaptiveBudgetExceeded) as exc:
-            _adaptive_integral(f, [0.0, 1.0, 2.0], 1e-12)
-        assert isinstance(exc.value, LazyNewtonError)
-        assert isinstance(exc.value, RuntimeError)

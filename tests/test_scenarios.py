@@ -10,12 +10,13 @@ from scipy.special import struve, y0
 
 import lazy_newton.evaluator as evaluator
 from lazy_newton.constants import G
-from lazy_newton.errors import RegimeError
+from lazy_newton.errors import AdaptiveBudgetExceeded, LazyNewtonError, RegimeError
 from lazy_newton.evaluator import KernelParams, Source, delayed_potential, kernel_weights
 from lazy_newton.frames import UniformField
 from lazy_newton.kinematics import Static, UniformAcceleration
 from lazy_newton.scenarios import (
     ScenarioReport,
+    _adaptive_integral,
     _boosted_kernel_average,
     boost_demo,
     estimate_report,
@@ -251,6 +252,23 @@ class TestBoost:
         got = _boosted_kernel_average(v, params, dist * n)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "v, tau_g, r, bits",
+        [
+            ((1000.0, 0.0, 0.0), 1e-3, (0.0, 1.0, 0.0), "0.7546100257709745"),
+            ((1e9, 0.0, 0.0), 1e-3, (0.0, 1.0, 0.0), "1.3931443073618955e-05"),
+            ((100.0, 1000.0, 0.0), 1e-2, (0.0, 20.0, 0.0), "2.2813854779342733"),
+            ((-3e3, 1.5e3, 2e3), 2.5e-4, (0.3, -0.2, 0.9), "0.7961262858681454"),
+        ],
+        # a perpendicular unit lag; the gate's |v| tau_g / |r| = 1e6; cuts
+        # graded toward a closest approach at u0 = 1.98; an oblique boost
+        ids=["unit_lag", "ratio_1e6", "graded", "oblique"],
+    )
+    def test_prediction_bits_are_fixed(self, v, tau_g, r, bits):
+        # evaluating by levels keeps the recursive rule's tree and order of
+        # additions, so the prediction is fixed to the bit
+        assert repr(_boosted_kernel_average(np.array(v), KernelParams(tau_g), np.array(r))) == bits
+
     def test_scale_separation_gates(self):
         with pytest.raises(RegimeError):
             boost_demo((1e12, 0, 0), 1e-3, 1.0, (0, 1.0, 0))
@@ -258,6 +276,18 @@ class TestBoost:
             boost_demo((1e-6, 0, 0), 1e-3, 1.0, (0, 10.0, 0))
         with pytest.raises(RegimeError):
             boost_demo((1000.0, 0, 0), 1e-3, 0.0, (0, 0, 0))
+
+
+class TestAdaptiveBudget:
+    def test_unresolvable_integrand_raises_named_error(self):
+        # 1/|u - c| is not integrable, so refinement never converges
+        def f(u):
+            return 1.0 / np.abs(u - 0.3 * math.pi)
+
+        with pytest.raises(AdaptiveBudgetExceeded) as exc:
+            _adaptive_integral(f, [0.0, 1.0, 2.0], 1e-12)
+        assert isinstance(exc.value, LazyNewtonError)
+        assert isinstance(exc.value, RuntimeError)
 
 
 class TestReportShape:
