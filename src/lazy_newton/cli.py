@@ -42,6 +42,7 @@ from .scenarios import (
     orbit_scenario,
     static_shift_scenario,
 )
+from .text import WIDTH, repr_cells
 
 __all__ = ["main", "run", "SceneConfig", "GridSpec", "parse_scene_config", "parse_grid_spec"]
 
@@ -325,10 +326,13 @@ def _floats_flag(text):
 
 
 def _emit(text, out):
+    """Write text as UTF-8 bytes: no newline translation on any platform, to a file or to stdout."""
+    data = text.encode("utf-8")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
 def _emit_report(report, out):
@@ -371,62 +375,71 @@ def _cmd_scenario(args):
     return 0
 
 
-def _coordinates(points, text, sep):
-    """Each point's "x<sep>y<sep>z", every distinct coordinate value formatted once.
+def _repr_texts(values):
+    return list(map(repr, values))
 
-    ``text`` maps a list of floats to their texts. Values are told apart by
-    their bit pattern, so 0.0 and -0.0 keep their own text; a grid's x, y
-    and z take few distinct values among many points.
+
+def _json_texts(values):
+    """Each float's text as json.dumps writes it, with nan as null."""
+    return ["null" if math.isnan(v) else json.dumps(v) for v in values]
+
+
+def _texts(values, text):
+    """NUL-padded ASCII rows of text(values), as a (len(values), width) uint8 matrix."""
+    cells = np.array(text(values), dtype="S")
+    return cells.view(np.uint8).reshape(len(values), cells.itemsize)
+
+
+def _coordinates(points, text):
+    """Each point's x, y and z text as a (n, 3, width) matrix; each distinct coordinate is formatted once.
+
+    Values are told apart by their bit pattern, so 0.0 and -0.0 keep their own
+    text; a grid's x, y and z take few distinct values among many points.
     """
     bits, at = np.unique(np.ascontiguousarray(points, dtype=float).view(np.int64).ravel(), return_inverse=True)
-    cells = map(text(bits.view(float).tolist()).__getitem__, at.tolist())
-    return list(map(sep.join, zip(cells, cells, cells)))
+    return _texts(bits.view(float).tolist(), text)[at.reshape(-1, 3)]
+
+
+def _map_matrix(points, slices, text, start, sep, end):
+    """One NUL-padded byte row per point of each (t, (n, 4) values) slice: start, the eight cells joined by sep, end.
+
+    The cells are t, x, y, z and the four values, as ``text`` writes them; the
+    values of all slices go through ``repr_cells`` in one call. The writers drop
+    the NULs with one ``bytes.translate``, after this call has freed its cells:
+    those copies set the writers' peak memory.
+    """
+    t = _texts([float(t) for t, _ in slices], text)[:, None]
+    xyz = _coordinates(points, text)[None]
+    values = repr_cells(np.stack([v for _, v in slices]), text)[0].reshape(len(slices), len(points), 4, WIDTH)
+    cells = [t, *(xyz[:, :, k] for k in range(3)), *(values[:, :, k] for k in range(4))]
+    start, sep, end = (np.frombuffer(b, np.uint8) for b in (start, sep, end))
+    parts = [start] + [p for cell in cells for p in (cell, sep)][:-1] + [end]
+    shape = (len(slices), len(points))
+    return np.concatenate([np.broadcast_to(p, shape + p.shape[-1:]) for p in parts], axis=2)
 
 
 def _format_csv(points, slices):
-    """CSV text of a map in CSV_HEADER order: one row per point of each (t, (n, 4) values) slice.
-
-    Each distinct coordinate is formatted once per map and each t once per slice.
-    """
-    xyz = _coordinates(points, lambda values: list(map(repr, values)), ",")
-    lines = [CSV_HEADER]
-    for t, values in slices:
-        head = repr(float(t)) + ","
-        lines += [head + p + "," + ",".join(map(repr, v)) for p, v in zip(xyz, values.tolist())]
-    return "\n".join(lines) + "\n"
+    """CSV text of a map in CSV_HEADER order: one row per point of each (t, (n, 4) values) slice."""
+    if not slices:
+        return CSV_HEADER + "\n"
+    rows = _map_matrix(points, slices, _repr_texts, b"", b",", b"\n").tobytes().translate(None, b"\0")
+    return CSV_HEADER + "\n" + rows.decode("ascii")
 
 
 # json.dumps(doc, indent=2) of a map document up to its rows, and the
 # separator between the items of a row there
 _JSON_HEAD = ('{\n  "schema_version": 1,\n  "columns": [\n'
               + ",\n".join(f'    "{c}"' for c in CSV_HEADER.split(",")) + '\n  ],\n  "rows": ')
-_JSON_ITEM = ",\n      "
-
-
-def _json_cells(values):
-    """JSON text of each float of a list, as json.dumps writes it, with nan as null."""
-    doc = [None if math.isnan(v) else v for v in values]
-    return json.dumps(doc, separators=(",", ":"))[1:-1].split(",")
+_JSON_ITEM = b",\n      "
 
 
 def _format_json(points, slices):
-    """JSON text of the same rows as _format_csv, nan values as null.
-
-    The layout is json.dumps(doc, indent=2)'s, written directly: each
-    slice's values go through json's C encoder in one call, with a row's
-    item separator, and are cut at row boundaries.
-    """
-    xyz = _coordinates(points, _json_cells, _JSON_ITEM)
-    rows = []
-    for t, values in slices:
-        head = "    [\n      " + _json_cells([float(t)])[0] + _JSON_ITEM
-        cells = values.astype(object)
-        cells[np.isnan(values)] = None
-        text = json.dumps(cells.tolist(), separators=(_JSON_ITEM, ": "))
-        rows += [head + p + _JSON_ITEM + v for p, v in zip(xyz, text[2:-2].split("]" + _JSON_ITEM + "["))]
-    if not rows:
+    """JSON text of the same rows as _format_csv, nan values as null, in json.dumps(doc, indent=2)'s layout."""
+    if not slices:
         return _JSON_HEAD + "[]\n}\n"
-    return _JSON_HEAD + "[\n" + "\n    ],\n".join(rows) + "\n    ]\n  ]\n}\n"
+    rows = (_map_matrix(points, slices, _json_texts, b"    [\n      ", _JSON_ITEM, b"\n    ],\n")
+            .tobytes().translate(None, b"\0"))
+    return _JSON_HEAD + "[\n" + rows[:-2].decode("ascii") + "\n  ]\n}\n"
 
 
 def _cmd_field(args):

@@ -644,3 +644,53 @@ class TestMapWriters:
         values = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-20, 20, size=(40, 4))
         values[rng.random((40, 4)) < 0.1] = np.nan
         self.check(xs, [(t, values) for t in (0.0, 2e-3, 1e-5)])
+
+
+class TestMapWritersAtBenchScale:
+    """The map writers on the repr kernel, against TestMapWriters' per-value oracle."""
+
+    oracle = TestMapWriters()
+
+    def test_41_by_41_two_slices(self):
+        rng = np.random.default_rng(18)
+        axis = np.linspace(-1.0, 1.0, 41)
+        points = np.column_stack([np.repeat(axis, 41), np.tile(axis, 41), np.full(41 * 41, 0.02)])
+        slices = []
+        for t in (0.0, 1e-3):
+            values = rng.normal(size=(41 * 41, 4)) * 10.0 ** rng.integers(-20, 21, size=(41 * 41, 4))
+            values[rng.choice(41 * 41, size=30, replace=False)] = np.nan  # guarded rows
+            zeros = rng.random(values.shape) < 0.02
+            values[zeros] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[zeros]
+            slices.append((t, values))
+        self.oracle.check(points, slices)
+
+    def test_json_infinities(self):
+        points = np.array([[0.0, 1.0, 2.0], [3.0, -0.0, 1e-7]])
+        values = np.array([[np.inf, -np.inf, 1.5e-10, np.nan], [-np.inf, 2.5e300, np.inf, -0.0]])
+        self.oracle.check(points, [(0.25, values), (np.inf, -values)])
+        text = cli._format_json(points, [(0.25, values)])
+        assert json.loads(text)["rows"][0][4:] == [math.inf, -math.inf, 1.5e-10, None]
+        assert '"rows": [\n    [\n      0.25,\n      0.0,\n      1.0,\n      2.0,\n      Infinity,\n' in text
+
+
+class TestOutputBytes:
+    """Maps and reports are written as bytes: stdout and --out agree, with no carriage returns."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_field_stdout_equals_out_file(self, tmp_path, capsysbinary, fmt):
+        cfg = write_json(tmp_path / "scene.json", scene_doc())
+        grd = write_json(tmp_path / "grid.json", grid_doc())
+        argv = ["field", "--config", cfg, "--grid", grd, "--format", fmt]
+        out = tmp_path / f"map.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert printed == out.read_bytes()
+        assert b"\r" not in printed and printed.endswith(b"\n")
+
+    def test_report_is_written_once_as_bytes(self, tmp_path, capsysbinary):
+        assert main(["scenario", "estimate"]) == 0
+        printed = capsysbinary.readouterr().out
+        assert b"\r" not in printed and printed.endswith(b"}\n")
+        assert json.loads(printed)["scenario"] == "estimate"
