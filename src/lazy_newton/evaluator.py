@@ -18,7 +18,7 @@ is not renormalized away.
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import G
 from .errors import SingularApproach
-from .frames import build_frames, relative_source_path
+from .frames import build_frames
 from .kinematics import as_vec3
 
 __all__ = [
@@ -68,7 +68,7 @@ class GaussLegendre:
     Segments never exceed ``max_segment_tau_g`` kernel time constants: the
     default 5 gives 8 panels over the 40 tau_g window. A path that winds (an
     orbit) gets panels of at most MAX_TURN radians of it, down to
-    1 / MAX_SPLIT of the default length (see kernel_weights). Each panel's
+    1 / MAX_SPLIT of the default length (_panel_length). Each panel's
     order is graded by the kernel weight it carries, from order / 2 on the
     first panel down to 2 (_panel_orders): 83 nodes on the default table.
     Where a field point comes closer to a panel's stretch of past path than
@@ -143,14 +143,19 @@ class KernelNodes:
     Weights absorb the exponential density, so sum(weights) equals the kernel
     mass on [0, t_max], 1 - e^(-t_max_factor), to within an ulp wherever the
     rule has converged, and exactly on every default table tested (see
-    _match_mass). Panel i holds nodes starts[i] up to starts[i + 1] and
-    spans the lags edges[i] to edges[i + 1].
+    _match_mass). Panel i holds nodes starts[i] up to starts[i + 1], sizes[i]
+    of them, and spans the lags edges[i] to edges[i + 1], the row panels[i].
+    ends[:, i] are the lags halfway between those edges and the panel's
+    outermost nodes, where the evaluator samples the path (_scene_nodes).
     """
 
     taus: np.ndarray
     weights: np.ndarray
     edges: np.ndarray  # (P + 1,)
     starts: np.ndarray  # (P + 1,), node offset of each panel, then the node count
+    sizes: np.ndarray  # (P,), nodes per panel
+    panels: np.ndarray  # (P, 2), lag interval of each panel
+    ends: np.ndarray  # (2, P), end-point lags of each panel
 
     @property
     def n_segments(self):
@@ -354,6 +359,24 @@ def _kernel_tables(params, keys):
     return taus, weights, lo, hi, starts, at
 
 
+def _tables(cache, params, keys):
+    """The node table (KernelNodes) of each key (_table_key).
+
+    ``cache`` holds one table per key; the keys it lacks are built in one
+    _kernel_tables pass, their panel arrays cut from that pass's, and added.
+    """
+    new = [key for key in dict.fromkeys(keys) if key not in cache]
+    if new:
+        taus, weights, lo, hi, starts, at = _kernel_tables(params, new)
+        sizes, panels = np.diff(starts), np.column_stack([lo, hi])
+        ends = np.array([0.5 * (lo + taus[starts[:-1]]), 0.5 * (hi + taus[starts[1:] - 1])])
+        for key, p, q in zip(new, at[:-1], at[1:]):
+            n, e = starts[p], starts[q]
+            cache[key] = KernelNodes(taus[n:e], weights[n:e], np.concatenate([lo[p:q], hi[q - 1:q]]),
+                                     starts[p:q + 1] - n, sizes[p:q], panels[p:q], ends[:, p:q])
+    return [cache[key] for key in keys]
+
+
 def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     """Node/weight table covering [0, t_max], split at the given kernel lags.
 
@@ -363,12 +386,11 @@ def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     of an orbit aliases it: at omega tau_g = 25, 5 tau_g panels missed a
     field point 64 radii off the orbit by 3e-5 relative. Each panel's order
     follows from its start lag (_panel_orders). tau_g = 0 has no kernel at
-    all (instantaneous limit). This is _kernel_tables for one key.
+    all (instantaneous limit). This is _tables for one key.
     """
     if params.tau_g == 0.0:
         raise ValueError("tau_g = 0 is the instantaneous limit; it has no kernel nodes")
-    taus, weights, lo, _, starts, _ = _kernel_tables(params, [_table_key(params, breakpoints, turn_rate)])
-    return KernelNodes(taus, weights, np.append(lo, params.t_max), starts)
+    return _tables({}, params, [_table_key(params, breakpoints, turn_rate)])[0]
 
 
 def _instantaneous(mass, pos, r, eps):
@@ -392,156 +414,141 @@ def _tau_breakpoints(trajectory, t, params):
     return [t - s for s in trajectory.breakpoints_in(t - params.t_max, t)]
 
 
-def _lab_path(path, s, which=None):
-    return path(s)
+def _slot_path(positions, count, origin, s, slot):
+    """Lab position at s of the source of each slot k * count + i, less origin(s, slot) unless origin is None.
 
-
-def _naive(source, count=1, path=None):
-    """(source, path, shifts, turn rates) of the naive form at ``count`` times: a lab path, no shift.
-
-    A caller's ``path`` is taken to wind no faster than the trajectory.
+    ``positions`` holds each source's lab path; ``slot`` is one slot or an
+    array like s.
     """
-    traj = source.trajectory
-    path = partial(_lab_path, traj.position if path is None else path)
-    return source, path, np.zeros((count, 3)), [traj.turn_rate] * count
+    if len(positions) == 1:
+        at = positions[0](s)
+    elif np.ndim(slot) == 0:
+        at = positions[slot // count](s)
+    else:
+        k = slot // count
+        at = np.empty((s.size, 3))
+        for j, position in enumerate(positions):
+            own = k == j
+            at[own] = position(s[own])
+    return at if origin is None else at - origin(s, slot)
 
 
-def _slot_path(frame, traj, first, s, which):
-    """Source path relative to the frame slots first + which (build_frames)."""
-    return relative_source_path(frame, traj, s, first + which)
+def _naive(sources, count=1, path=None):
+    """(sources, path, shifts, turn rates) of the naive form at ``count`` times: lab paths, no shift.
+
+    Slots are laid out as in _framed. A caller's ``path`` replaces a lone
+    source's trajectory and is taken to wind no faster than it.
+    """
+    positions = [src.trajectory.position for src in sources] if path is None else [path]
+    rates = np.array([src.trajectory.turn_rate for src in sources]).repeat(count)
+    return sources, partial(_slot_path, positions, count, None), np.zeros((rates.size, 3)), rates
 
 
 def _framed(sources, ambient, times, params):
-    """(source, path, shifts, turn rates) of each source seen from its free-fall frames matched at ``times``.
+    """(sources, path, shifts, turn rates) of a scene seen from its free-fall frames matched at ``times``.
 
-    ``path(s, which)`` is the source's path relative to the frame of
-    times[which], shifts[which] that frame's origin at its match time, and
-    the turn rate of each time's node table is the trajectory's or, if
-    faster, that frame's. One build_frames call frames every source at
-    every time: source k at times[i] is slot k * T + i of one FreeFallFrame,
-    so one window-start solve gives every guard verdict and turn rate. A
-    frame whose path enters the ambient guard raises SingularApproach for
-    the earliest such time, and there for the first such source, as framing
-    the times and sources one by one would.
+    One build_frames call frames every source at every time: source k at
+    times[i] is slot k * T + i of one FreeFallFrame, so one window-start
+    solve gives every guard verdict and turn rate, and one ``path(s, slot)``
+    call, the slot's source path relative to its frame, covers any mix of
+    slots. shifts[slot] is that frame's origin at its match time and
+    rates[slot] the turn rate of the slot's node table: the trajectory's or,
+    if faster, the frame's. A frame whose path enters the ambient guard
+    raises SingularApproach for the earliest such time, and there for the
+    first such source, as framing the times and sources one by one would.
     """
     if params.tau_g == 0.0:  # no look-back: only the lab position at t matters
-        return [_naive(src, len(times)) for src in sources]
+        return _naive(sources, len(times))
     count = len(times)
     frame = build_frames([src.trajectory for src in sources], ambient, times, params.t_max)
     inside = frame.inside_guard
     if inside.any():
         i, k = divmod(int(np.argmax(inside.reshape(-1, count).T)), len(sources))
         raise frame.guard_error(k * count + i)
-    shifts, rates = frame.match_origin, frame.turn_rate
-    return [(src, partial(_slot_path, frame, src.trajectory, k * count), shifts[k * count:(k + 1) * count],
-             np.maximum(src.trajectory.turn_rate, rates[k * count:(k + 1) * count]))
-            for k, src in enumerate(sources)]
-
-
-class _Table(NamedTuple):
-    taus: np.ndarray  # (K,)
-    weights: np.ndarray  # (K,)
-    sizes: np.ndarray  # (P,), nodes per panel
-    first: np.ndarray  # (P,), index of each panel's first node
-    last: np.ndarray  # (P,), and of its last node
-    edges: np.ndarray  # (P, 2), lag interval of each panel
-    lo_ends: np.ndarray  # (P,), lag halfway between each panel's start and its first node
-    hi_ends: np.ndarray  # (P,), and between its last node and its end
-
-
-def _tables(cache, params, keys):
-    """The node table of each key (_table_key), with its panels' end-point lags.
-
-    ``cache`` holds one table per key; the keys it lacks are built in one
-    _kernel_tables pass and added.
-    """
-    new = [key for key in dict.fromkeys(keys) if key not in cache]
-    if new:
-        taus, weights, lo, hi, starts, at = _kernel_tables(params, new)
-        first, last = starts[:-1], starts[1:] - 1
-        sizes, edges = np.diff(starts), np.column_stack([lo, hi])
-        lo_ends, hi_ends = 0.5 * (lo + taus[first]), 0.5 * (hi + taus[last])
-        for key, p, q in zip(new, at[:-1], at[1:]):
-            n, e = starts[p], starts[q]
-            cache[key] = _Table(taus[n:e], weights[n:e], sizes[p:q], first[p:q] - n, last[p:q] - n,
-                                edges[p:q], lo_ends[p:q], hi_ends[p:q])
-    return [cache[key] for key in keys]
+    own = np.array([src.trajectory.turn_rate for src in sources]).repeat(count)
+    path = partial(_slot_path, [src.trajectory.position for src in sources], count, frame.origin)
+    return sources, path, frame.match_origin, np.maximum(own, frame.turn_rate)
 
 
 class _Nodes(NamedTuple):
-    """One source's effective nodes and coarse panels at every time of a batch, flat.
+    """A scene's effective nodes and coarse panels at every time of a batch, flat.
 
-    Time i holds nodes node_at[i] up to node_at[i + 1] and panels
-    panel_at[i] up to panel_at[i + 1].
+    The batch runs time after time and, within a time, source after source,
+    as a PreparedScene lays them out: time i holds nodes node_at[i] up to
+    node_at[i + 1] and panels panel_at[i] up to panel_at[i + 1].
     """
 
-    positions: np.ndarray  # (K, 3)
+    coords: np.ndarray  # (3, K), node x, y and z, each contiguous
     weights: np.ndarray  # (K,), include the -G*M factor
     lags: np.ndarray  # (K,)
-    node_at: np.ndarray  # (T + 1,)
-    sizes: np.ndarray  # (P,), nodes per panel
+    counts: list  # per time, nodes per source
+    node_at: list  # (T + 1,)
+    starts: np.ndarray  # (P + 1,), node offset of each panel, then K
     edges: np.ndarray  # (P, 2), lag interval of each panel
     lengths: np.ndarray  # (P,), polyline length through each panel's end points and nodes
     gaps: np.ndarray  # (P,), longest step of that polyline
-    panel_at: np.ndarray  # (T + 1,)
+    sources: np.ndarray  # (P,), source index of each panel
+    panel_at: list  # (T + 1,)
 
 
-def _path_nodes(source, path, shifts, times, tabs):
-    """Effective node masses of one source at each time, and the coarse panels they fill (_Nodes).
+def _scene_nodes(framed, times, params, cache):
+    """Effective node masses of every source at every time, and the coarse panels they fill (_Nodes).
 
-    The node at lag tau of times[i] sits at path(times[i] - tau, i) +
-    shifts[i] and carries -G M times its kernel weight from tabs[i]; the
-    naive route passes the lab path and no shift, the framed route the
-    frame-relative path and the frame origins. One path call covers every
-    node and panel end point of every time. Each panel keeps its node count,
-    its lag edges (P, 2), the length of the polyline through its nodes and
-    two end points, and that polyline's longest step. The end points sit
-    halfway between the panel's edges and its outermost nodes, on the
-    panel's own side of any jump in the path. ``tabs`` None (tau_g = 0)
-    gives each time one node, the source itself, and no panels.
+    Entry j = i * S + k of the batch is source k at times[i], the slot
+    k * T + i of ``framed`` (_framed). The node at lag tau of an entry sits
+    at path(times[i] - tau, slot) + shifts[slot] and carries -G M times its
+    kernel weight from the slot's node table; the tables of every entry come
+    from one _tables call, and one path call covers every node and panel
+    end point of every entry. Each panel keeps its lag edges (P, 2), the
+    length of the polyline through its nodes and two end points, and that
+    polyline's longest step. The end points sit halfway between the panel's
+    edges and its outermost nodes, on the panel's own side of any jump in
+    the path. tau_g = 0 gives each entry one node, the source itself, and
+    no panels.
     """
-    count = len(times)
-    coef = -G * source.mass
-    if tabs is None:
-        at = path(np.array(times), np.arange(count)) + shifts
-        return _Nodes(at, np.full(count, coef), np.zeros(count), np.arange(count + 1), np.zeros(0, dtype=int),
-                      np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(count + 1, dtype=int))
+    sources, path, shifts, rates = framed
+    count, n = len(times), len(sources)
+    entries = np.arange(count * n)
+    slot = entries if n == 1 or count == 1 else entries % n * count + entries // n
+    when = np.array(times).repeat(n)
+    coefs = np.array([-G * src.mass for src in sources] * count)
+    if params.tau_g == 0.0 or not n:
+        at = path(when, slot) + shifts[slot]
+        return _Nodes(np.ascontiguousarray(at.T), coefs, np.zeros(entries.size), [[1] * n] * count,
+                      [i * n for i in range(count + 1)], np.zeros(1, dtype=int), np.zeros((0, 2)), np.zeros(0),
+                      np.zeros(0), np.zeros(0, dtype=int), [0] * (count + 1))
+    rate = rates[slot].tolist()
+    keys = [_table_key(params, _tau_breakpoints(src.trajectory, t, params), rate[i * n + k])
+            for i, t in enumerate(times) for k, src in enumerate(sources)]
+    tabs = _tables(cache, params, keys)
     ks, ps = [tab.taus.size for tab in tabs], [tab.sizes.size for tab in tabs]
-    node_at, panel_at = np.cumsum([0, *ks]), np.cumsum([0, *ps])
-    k, p = node_at[-1], panel_at[-1]
-    # every time's nodes, then every panel's first and last end points
-    which = np.repeat(np.arange(3 * count) % count, ks + ps + ps)
-    lags = np.concatenate([tab.taus for tab in tabs] + [tab.lo_ends for tab in tabs]
-                          + [tab.hi_ends for tab in tabs])
-    at = path(np.array(times)[which] - lags, which)  # one path call
+    node_at = np.array([0, *ks]).cumsum()
+    k = node_at[-1]
+    starts = np.concatenate([[0], np.concatenate([tab.sizes for tab in tabs]).cumsum()])
+    p = starts.size - 1
+    # every entry's nodes, then every panel's first and last end points
+    which = np.repeat(np.arange(3 * entries.size) % entries.size, ks + ps + ps)
+    end_lags = np.concatenate([tab.ends for tab in tabs], axis=1)  # (2, P): first end points, then last
+    lags = np.concatenate([tab.taus for tab in tabs] + [end_lags.ravel()])
+    at = path(when[which] - lags, slot[which])  # one path call
     pts = at[:k]
-    first = np.concatenate([tab.first + o for tab, o in zip(tabs, node_at)])
-    last = np.concatenate([tab.last + o for tab, o in zip(tabs, node_at)])
+    first, last = starts[:-1], starts[1:] - 1
     # polyline steps: node to node, then each panel's first end point to its
     # first node and its last node to its last end point
     d = np.concatenate([np.diff(pts, axis=0), pts[first] - at[k:k + p], at[k + p:] - pts[last]])
     steps = np.sqrt(np.einsum("ij,ij->i", d, d))
     steps[last[:-1]] = 0.0  # from one panel's last node to the next panel's first
-    # drop the steps between times, so each time's panels sum as on their own
+    # drop the steps between entries, so each entry's panels sum as on their own
     inner = np.delete(steps[:k], node_at[1:] - 1)
     ends = steps[k - 1:].reshape(2, p)
     at_panel = first - which[k:k + p]
     lengths = np.add.reduceat(inner, at_panel) + ends[0] + ends[1]
     gaps = np.maximum(np.maximum.reduceat(inner, at_panel), ends.max(axis=0))
-    return _Nodes(pts + shifts[which[:k]], coef * np.concatenate([tab.weights for tab in tabs]), lags[:k],
-                  node_at, np.concatenate([tab.sizes for tab in tabs]),
-                  np.concatenate([tab.edges for tab in tabs]), lengths, gaps, panel_at)
-
-
-def _source_nodes(framed, times, params, cache):
-    """_path_nodes of each source of _framed at every time, all their node tables from one _tables call."""
-    if params.tau_g == 0.0:
-        return [_path_nodes(*f[:3], times, None) for f in framed]
-    keys = [_table_key(params, _tau_breakpoints(src.trajectory, t, params), rate)
-            for src, _, _, rates in framed for t, rate in zip(times, rates)]
-    tabs = _tables(cache, params, keys)
-    count = len(times)
-    return [_path_nodes(*f[:3], times, tabs[i * count:(i + 1) * count]) for i, f in enumerate(framed)]
+    return _Nodes(np.ascontiguousarray((pts + shifts[slot[which[:k]]]).T),
+                  coefs.repeat(ks) * np.concatenate([tab.weights for tab in tabs]), lags[:k],
+                  [ks[i:i + n] for i in range(0, entries.size, n)], node_at.tolist()[::n], starts,
+                  np.concatenate([tab.panels for tab in tabs]), lengths, gaps, (entries % n).repeat(ps),
+                  list(accumulate(ps, initial=0))[::n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,42 +587,37 @@ class PreparedScene:
         return self.coords.T
 
 
-def _scene(parts, framed, i, t, params):
-    """PreparedScene at times[i] = t from each source's _Nodes and _framed."""
-    nodes = [(p.node_at[i], p.node_at[i + 1]) for p in parts]
-    panels = [(p.panel_at[i], p.panel_at[i + 1]) for p in parts]
-
-    def joined(name, at, empty):  # a scene of no sources keeps its arrays well formed
-        return np.concatenate([getattr(p, name)[a:b] for p, (a, b) in zip(parts, at)] or [empty])
-
-    counts = [int(b - a) for a, b in nodes]
-    sizes = joined("sizes", panels, np.zeros(0, dtype=int))
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    sources = np.repeat(np.arange(len(parts)), [b - a for a, b in panels])
-    paths = tuple((partial(path, which=i), shifts[i], -G * src.mass) for src, path, shifts, _ in framed)
-    coords = np.ascontiguousarray(joined("positions", nodes, np.zeros((0, 3))).T)
+def _scene(nodes, framed, i, t, params):
+    """PreparedScene at times[i] = t: time i's slice of the batch of _scene_nodes, and its slots of ``framed``."""
+    sources, path, shifts, _ = framed
+    count = len(nodes.counts)
+    a, b = nodes.node_at[i], nodes.node_at[i + 1]
+    p, q = nodes.panel_at[i], nodes.panel_at[i + 1]
+    slots = range(i, len(shifts), count)  # source k's at k * count + i
+    paths = tuple((partial(path, slot=j), shifts[j], -G * src.mass) for j, src in zip(slots, sources))
+    starts = nodes.starts[p:q + 1]
     return PreparedScene(
-        coords, joined("weights", nodes, np.zeros(0)), joined("lags", nodes, np.zeros(0)), tuple(counts),
-        starts, joined("edges", panels, np.zeros((0, 2))), joined("lengths", panels, np.zeros(0)),
-        joined("gaps", panels, np.zeros(0)), sources, paths, t, params
+        np.ascontiguousarray(nodes.coords[:, a:b]), nodes.weights[a:b], nodes.lags[a:b], tuple(nodes.counts[i]),
+        starts - starts[0], nodes.edges[p:q], nodes.lengths[p:q], nodes.gaps[p:q], nodes.sources[p:q], paths,
+        t, params
     )
 
 
 def prepare_scenes(sources, ambient, times, params):
     """Collapse every source to its effective kernel-node masses at each of ``times``.
 
-    Returns one PreparedScene per time. Each source's frames, node positions
-    and panel polylines are computed for all times at once, and times and
-    sources whose tables share breakpoints and panel length share one table.
-    A scene is the same, bit for bit, whichever other times it was prepared
-    with.
+    Returns one PreparedScene per time, each a slice of one node pass
+    (_scene_nodes): every source's frames, node positions and panel
+    polylines are computed for all times at once, and times and sources
+    whose tables share breakpoints and panel length share one table. A scene
+    is the same, bit for bit, whichever other times it was prepared with.
     """
     times = [float(t) for t in times]
     if not times:
         return []
     framed = _framed(sources, ambient, times, params)
-    parts = _source_nodes(framed, times, params, {})
-    return [_scene(parts, framed, i, t, params) for i, t in enumerate(times)]
+    nodes = _scene_nodes(framed, times, params, {})
+    return [_scene(nodes, framed, i, t, params) for i, t in enumerate(times)]
 
 
 def prepare_scene(sources, ambient, t, params):
@@ -629,7 +631,7 @@ def _split_counts(scene, r):
     d_p, the distance from the point to panel p's nearest node less half the
     longest step of the panel's polyline, bounds its distance to that
     stretch of path from below while the path keeps close to its polyline,
-    which the turn-rate limit on panel length (kernel_weights) ensures.
+    which the turn-rate limit on panel length (_panel_length) ensures.
     Gauss-Legendre converges like rho^(-2n), with rho set by the nearest
     complex singularity of 1/|r - x(t - tau)|; on such a panel it lies about
     d_p / speed away in lag. Sub-panels no longer than d_p along the path
@@ -672,11 +674,12 @@ def _tile(pts, coords):
     """Differences d (3, rows, K), r^2 and r (rows, K) of a tile of points to nodes held as (3, K).
 
     Split coordinates keep each of x, y and z contiguous along the nodes, so
-    every reduction of a tile runs along one row, pairwise and in cache.
-    Nodes held as (3, rows, K) give each row its own; they must be
-    C-contiguous too, since the differences take their layout.
+    every reduction of a tile runs along one row, pairwise and in cache, as
+    the differences are written C-contiguous whatever the nodes' strides.
+    Nodes held as (3, rows, K) give each row its own.
     """
-    d = pts.T[:, :, None] - (coords[:, None, :] if coords.ndim == 2 else coords)
+    d = np.subtract(pts.T[:, :, None], coords[:, None, :] if coords.ndim == 2 else coords,
+                    out=np.empty((3, len(pts), coords.shape[-1])))
     r2 = np.square(d).sum(axis=0)
     return d, r2, np.sqrt(r2)
 
@@ -772,55 +775,48 @@ def _values(framed, points, times, params, tables=None):
     """Per time: potential (n,), field (n, 3), guard mask (n,), guard error and evaluated table.
 
     ``framed`` is as _framed returns it and ``points`` holds one (n, 3)
-    array per time; one node table per source and time serves every point
-    of that time. Times with equal node counts per source are stacked, and
-    one pass of tiles of _tile_rows(K) rows, whose (rows, K) arrays stay in
-    cache, sums each point row against its own time's coarse nodes once: a
-    tile of one time's rows broadcasts that time's (3, K) nodes, a tile
-    that mixes times gathers (3, rows, K). The same pass masks the rows
-    that hit the guard and gives each row that comes within reach of a
-    panel its split counts (_split_counts) from its own time's panels, on
-    that time's PreparedScene, built only then; such a row trades each
-    panel it splits for the panel's sub-panel nodes (_split_sums). Each
-    row reduces along its own nodes only, pairwise, so every value is its
-    time's alone, bit for bit, for any stacking or tiling; the pairwise
-    rounding grows with log K, not K, which matters since shift fits
-    amplify ulp noise by the probe-distance / displacement ratio.
+    array per time. One node pass (_scene_nodes) lays out every time's
+    nodes as one contiguous range. Times with equal node counts are
+    stacked, and one pass of tiles of _tile_rows(K) rows, whose (rows, K)
+    arrays stay in cache, sums each point row against its own time's coarse
+    nodes once: a tile of one time's rows broadcasts that time's (3, K)
+    nodes, a tile that mixes times gathers (3, rows, K). The same pass
+    masks the rows that hit the guard and gives each row that comes within
+    reach of a panel its split counts (_split_counts) from its own time's
+    panels, on that time's PreparedScene, cut from the node pass only then;
+    such a row trades each panel it splits for the panel's sub-panel nodes
+    (_split_sums). Each row reduces along its own nodes only, pairwise, so
+    every value is its time's alone, bit for bit, for any stacking or
+    tiling; the pairwise rounding grows with log K, not K, which matters
+    since shift fits amplify ulp noise by the probe-distance / displacement
+    ratio.
 
     Guarded rows are nan. The guard error is None or the SingularApproach
     of the time's first guarded point, naming the nearest node it was
     summed against (_guard_hit); _checked raises the earliest. The table
     (nodes, panels, split panels) is summed over sources, split panels at
-    their largest split.
-    ``tables`` keeps node tables between calls (see _tables).
+    their largest split. ``tables`` keeps node tables between calls (see
+    _tables).
     """
-    parts = _source_nodes(framed, times, params, {} if tables is None else tables)
+    nodes = _scene_nodes(framed, times, params, {} if tables is None else tables)
     eps, count = params.softening_eps, len(times)
-    # (3, K) of every node of every time, source after source
-    coords = np.concatenate([p.positions for p in parts] or [np.zeros((0, 3))]).T.copy()
-    weights = np.concatenate([p.weights for p in parts] or [np.zeros(0)])
-    offsets = accumulate([len(p.weights) for p in parts], initial=0)
-    node_at = [(p.node_at + o).tolist() for p, o in zip(parts, offsets)]
-    panel_at = [p.panel_at.tolist() for p in parts]
-    reach = reduce(np.maximum, [_reach(p.lengths, p.gaps, p.panel_at) for p in parts], np.zeros(count))
+    node_at, panel_at = nodes.node_at, nodes.panel_at
+    reach = _reach(nodes.lengths, nodes.gaps, nodes.panel_at)
     order = params.quadrature.order
     scenes = {}
 
     def scene(i):
         if i not in scenes:
-            scenes[i] = _scene(parts, framed, i, times[i], params)
+            scenes[i] = _scene(nodes, framed, i, times[i], params)
         return scenes[i]
 
     stacks = {}
     for i in range(count):
-        stacks.setdefault(tuple(at[i + 1] - at[i] for at in node_at), []).append(i)
+        stacks.setdefault(node_at[i + 1] - node_at[i], []).append(i)
     out = [None] * count
     with np.errstate(divide="ignore", invalid="ignore"):
-        for key, idx in stacks.items():
-            k = sum(key)
-            # (g, K) node indices, source after source as in a prepared scene
-            nodes = [np.array([at[i] for i in idx])[:, None] + np.arange(n) for at, n in zip(node_at, key)]
-            nodes = np.concatenate(nodes or [np.zeros((len(idx), 0), dtype=int)], axis=1)
+        for k, idx in stacks.items():
+            first = np.array([node_at[i] for i in idx])  # each time's first node
             pts = np.concatenate([points[i] for i in idx])
             lengths = [len(points[i]) for i in idx]
             row_at = list(accumulate(lengths, initial=0))
@@ -832,9 +828,11 @@ def _values(framed, points, times, params, tables=None):
             step = _tile_rows(k)
             for lo in range(0, n, step):
                 j = row_time[lo:lo + step]
-                at = j[0] if j[0] == j[-1] else j  # one time's rows broadcast its (3, K) nodes
+                one = j[0] == j[-1]  # one time's rows broadcast its (3, K) nodes
+                at = j[0] if one else j
+                cols = slice(first[at], first[at] + k) if one else first[at][:, None] + np.arange(k)
                 d, r2, r, inv, singular[lo:lo + step], close = _coarse_tile(
-                    pts[lo:lo + step], coords.take(nodes[at], axis=1), weights[nodes[at]], near[at], eps)
+                    pts[lo:lo + step], nodes.coords[:, cols], nodes.weights[cols], near[at], eps)
                 for jj in np.unique(j[close]).tolist() if close.any() else ():  # each time's close rows
                     own = np.flatnonzero(close & (j == jj))
                     sc = scene(idx[jj])
@@ -846,7 +844,7 @@ def _values(framed, points, times, params, tables=None):
                 phi[lo:lo + step], grad[lo:lo + step] = _tile_sums(inv, r2, d)
             odd = counts.keys() | set(row_time[singular].tolist())
             for jj, (i, a, b) in enumerate(zip(idx, row_at, row_at[1:])):
-                error, table = None, (k, sum(at[i + 1] - at[i] for at in panel_at), 0)
+                error, table = None, (k, panel_at[i + 1] - panel_at[i], 0)
                 if jj in odd:
                     sc = scene(i)
                     c = counts[jj] if jj in counts else np.ones((b - a, sc.starts.size - 1), dtype=int)
@@ -881,7 +879,7 @@ def delayed_potential_naive(source, r, t, params, *, path=None):
         path = source.trajectory.position
     if params.tau_g == 0.0:
         return _instantaneous(source.mass, path(t), r, params.softening_eps)[0]
-    return float(_checked(_values([_naive(source, path=path)], [r[None, :]], [t], params))[0][0][0])
+    return float(_checked(_values(_naive([source], path=path), [r[None, :]], [t], params))[0][0][0])
 
 
 def _framed_point(source, ambient, r, t, params):

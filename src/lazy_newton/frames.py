@@ -211,7 +211,7 @@ class FreeFallFrame:
             self._mu = mu = G * field.mass
             self._sqrt_mu = sqrt_mu = math.sqrt(mu)
             self._rel_t = rel = self._p_t - field.position
-            # a match point on the mass has no conic; build_frame refuses it
+            # a match point on the mass has no conic; inside_guard marks it, _framed refuses it
             with np.errstate(divide="ignore", invalid="ignore"):
                 r_t = np.sqrt(_rowdot(rel, rel))
                 alpha = 2.0 / r_t - _rowdot(self._v_t, self._v_t) / mu  # 1 / semi-major axis
@@ -319,7 +319,7 @@ class FreeFallFrame:
         """Smallest distance to the mass over each window, and when it occurs: two (T,) arrays.
 
         A match point already inside the guard radius reports its own
-        distance, as build_frame refuses it before propagating anything.
+        distance; build_frame and the evaluator's _framed refuse it unpropagated.
         """
         r_t = self._el[0]
         t = self.match_times

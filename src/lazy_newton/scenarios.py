@@ -238,7 +238,7 @@ def _potentials(source, ambient, points, times, params, tables, cache=None):
     trajectory. ``cache`` shares node tables between calls.
     """
     if ambient is None:
-        framed = [_naive(source, len(times))]
+        framed = _naive([source], len(times))
     else:
         framed = _framed([source], ambient, times, params)
     out = _checked(_values(framed, [np.atleast_2d(p) for p in points], times, params, cache))

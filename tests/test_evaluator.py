@@ -180,9 +180,9 @@ class TestTablePass:
         keys = [evaluator._table_key(params, bps, rate / params.tau_g) for bps, rate in drawn]
         for (bps, rate), tab in zip(drawn, evaluator._tables({}, params, keys)):
             alone = kernel_weights(params, bps, turn_rate=rate / params.tau_g)
-            assert tab.taus.tobytes() == alone.taus.tobytes()
-            assert tab.weights.tobytes() == alone.weights.tobytes()
-            assert tab.edges.tobytes() == np.column_stack([alone.edges[:-1], alone.edges[1:]]).tobytes()
+            for name in ("taus", "weights", "edges", "starts", "sizes", "panels", "ends"):
+                assert getattr(tab, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert tab.panels.tobytes() == np.column_stack([alone.edges[:-1], alone.edges[1:]]).tobytes()
             np.testing.assert_array_equal(tab.sizes, np.diff(alone.starts))
 
     def test_batched_tables_that_miss_the_mass(self):
@@ -194,7 +194,7 @@ class TestTablePass:
         keys = [evaluator._table_key(params, b, 0.0) for b in bps]
         missed = stepped = 0
         for b, tab in zip(bps, evaluator._tables({}, params, keys)):
-            raw = _panel_nodes(tab.edges[:, 0], tab.edges[:, 1], 1e-3, tuple(tab.sizes.tolist()))[1]
+            raw = _panel_nodes(tab.panels[:, 0], tab.panels[:, 1], 1e-3, tuple(tab.sizes.tolist()))[1]
             missed += raw.sum() != mass
             top = raw.copy()
             top[np.argmax(top)] -= raw.sum() - mass
@@ -639,14 +639,42 @@ class TestMergedFrames:
         times = [0.1, 0.102, 0.3, 0.7]
         s = np.concatenate([t - params.t_max * np.linspace(0.0, 1.0, 17) for t in times])
         which = np.repeat(np.arange(len(times)), 17)
+        count = len(times)
         for amb in (PointMassField((0, 0, 0), mass), UniformField((0, 0, -9.81))):
-            framed = _framed(sources, amb, times, params)
-            for src, (own_src, path, shifts, rates) in zip(sources, framed):
-                (_, alone_path, alone_shifts, alone_rates), = _framed([src], amb, times, params)
-                assert own_src is src
-                assert np.array_equal(path(s, which), alone_path(s, which))
-                assert np.array_equal(shifts, alone_shifts)
-                assert np.array_equal(rates, alone_rates)
+            own, path, shifts, rates = _framed(sources, amb, times, params)
+            assert own is sources
+            assert shifts.shape == (len(sources) * count, 3) and rates.shape == (len(sources) * count,)
+            # one path call over every slot of every source, time after time
+            # and within a time source after source, as the node pass asks it
+            slots = np.concatenate([k * count + which for k in range(len(sources))])
+            order = np.lexsort((slots // count, slots % count))
+            mixed = np.empty((slots.size, 3))
+            mixed[order] = path(np.tile(s, len(sources))[order], slots[order])
+            for k, src in enumerate(sources):
+                _, alone_path, alone_shifts, alone_rates = _framed([src], amb, times, params)
+                mine = slice(k * count, (k + 1) * count)
+                assert path(s, k * count + which).tobytes() == alone_path(s, which).tobytes()
+                assert mixed[k * s.size:(k + 1) * s.size].tobytes() == alone_path(s, which).tobytes()
+                at2 = s[which == 2]  # one slot for every s, as a prepared scene's path asks it
+                assert path(at2, k * count + 2).tobytes() == alone_path(at2, 2).tobytes()
+                assert shifts[mine].tobytes() == alone_shifts.tobytes()
+                assert rates[mine].tobytes() == alone_rates.tobytes()
+
+    def test_each_source_keeps_its_own_turn_rate(self):
+        # the orbit's tables need 102 nodes where the static source, listed
+        # first, needs the default 83: each slot's table follows its own
+        # source's turn rate, never another source's at the same time
+        sources = [Source(2.0, Static((0, 0, 0.5))), Source(1.0, CircularOrbit((0, 0, 0), 1.0, 100.0))]
+        params = KernelParams(1e-2)
+        for amb in (ZeroField(), UniformField((0, 0, -9.81))):
+            for times in ([0.0], [0.0, 0.01]):
+                scenes = prepare_scenes(sources, amb, times, params)
+                assert [scene.n_nodes_per_source for scene in scenes] == [(83, 102)] * len(times)
+                for t, scene in zip(times, scenes):
+                    alone = [prepare_scene([src], amb, t, params) for src in sources]
+                    assert scene.n_nodes_per_source == tuple(a.n_nodes_per_source[0] for a in alone)
+                    assert scene.lags.tobytes() == np.concatenate([a.lags for a in alone]).tobytes()
+                    assert scene.coords.tobytes() == np.concatenate([a.coords for a in alone], axis=1).tobytes()
 
     def test_one_build_frames_call_per_scene(self, monkeypatch):
         calls = []
@@ -930,6 +958,35 @@ class TestSceneEvaluation:
         positions = np.array([src.trajectory.position(t) for src in sources])
         np.testing.assert_array_equal([shift for _, shift, _ in scene.paths], positions)
 
+    def test_point_mass_map_takes_one_node_solve(self, monkeypatch):
+        # three sources on Kepler circles at six times, as the bench's point-mass
+        # map: one window-start solve for every frame, then one solve for every
+        # node and panel end point of every source and time
+        tau_g = 1e-3
+        mass = (2.0 / (40.0 * tau_g)) ** 2 / G  # the inner orbit turns two radians per window
+        sources = [
+            Source(k + 1.0, CircularOrbit((0, 0, 0), radius, math.sqrt(G * mass / radius**3), phase=phase))
+            for k, (radius, phase) in enumerate(((1.0, 0.3), (1.5, 2.0), (2.0, 4.1)))
+        ]
+        amb = PointMassField((0, 0, 0), mass)
+        xs = np.linspace(-2.0, 2.0, 5)
+        pts = np.column_stack([np.repeat(xs, 5), np.tile(xs, 5), np.full(25, 0.7)])
+        times = list(0.4 + 2e-3 * np.arange(6))
+        calls = []
+        original = FreeFallFrame.origin
+
+        def counted(frame, s, which=None):
+            calls.append(np.size(s))
+            return original(frame, s, which)
+
+        monkeypatch.setattr(FreeFallFrame, "origin", counted)
+        maps = scene_potential_fields(sources, amb, pts, times, KernelParams(tau_g))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        scenes = prepare_scenes(sources, amb, times, KernelParams(tau_g))
+        assert calls[1] > sum(scene.weights.size for scene in scenes)  # nodes, then panel end points
+        assert not any(singular.any() for _, _, singular in maps)
+
     def test_block_rows_equal_single_point_rows(self):
         # each row reduces alone, so neither the block nor its tiling moves a bit
         sources, amb = self.scene()
@@ -1017,10 +1074,10 @@ class TestStackedSums:
                np.array([[-1.0, 1e-3, 0.0], [0.0, 10.0, 0.0]]),
                np.array([[5.0, 5.0, 5.0]]),
                np.array([[2.0, 0.0, 9.0]])]
-        out = evaluator._checked(evaluator._values([evaluator._naive(src, len(times))], pts, times, params))
+        out = evaluator._checked(evaluator._values(evaluator._naive([src], len(times)), pts, times, params))
         assert [table[2] > 0 for _, _, table in out] == [False, True, False, False]
         for t, p, (phi, grad, _) in zip(times, pts, out):
-            whole = evaluator._values([evaluator._naive(src)], [p], [t], params)[0]
+            whole = evaluator._values(evaluator._naive([src]), [p], [t], params)[0]
             assert phi.tobytes() == whole[0].tobytes() and grad.tobytes() == whole[1].tobytes()
             for k, r in enumerate(p):
                 assert phi[k] == delayed_potential_naive(src, r, t, params)
@@ -1096,7 +1153,7 @@ class TestSinglePass:
                np.array([[5.0, 5.0, 5.0]]),
                np.array([[2.0, 0.0, 9.0]])]
         rows = self.coarse_rows(monkeypatch)
-        out = _values([evaluator._naive(src, len(times))], pts, times, params)
+        out = _values(evaluator._naive([src], len(times)), pts, times, params)
         assert [table[2] > 0 for *_, table in out] == [False, True, False, False]
         assert sum(rows) == 6 and len(rows) == 1
 
