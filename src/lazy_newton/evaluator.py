@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 # points per evaluation block of a time. A panel splits for at most one block
-# of points (_values), so a fixed size keeps a given map's bytes fixed.
+# of points (_split_sums), so a fixed size keeps a given map's bytes fixed.
 CHUNK = 512
 # fewest rows of a block summed together (see _tile_rows): low enough that the
 # tiles of split sub-panels, thousands of nodes long, stay near TILE_CELLS,
@@ -475,7 +475,9 @@ class _Nodes(NamedTuple):
 
     The batch runs time after time and, within a time, source after source,
     as a PreparedScene lays them out: time i holds nodes node_at[i] up to
-    node_at[i + 1] and panels panel_at[i] up to panel_at[i + 1].
+    node_at[i + 1] and panels panel_at[i] up to panel_at[i + 1]. It keeps
+    the framed paths, times and params it was sampled from, so a panel can
+    be split from it alone (_split_nodes).
     """
 
     coords: np.ndarray  # (3, K), node x, y and z, each contiguous
@@ -489,6 +491,9 @@ class _Nodes(NamedTuple):
     gaps: np.ndarray  # (P,), longest step of that polyline
     sources: np.ndarray  # (P,), source index of each panel
     panel_at: list  # (T + 1,)
+    framed: tuple  # as _framed returns it
+    times: list  # (T,)
+    params: KernelParams
 
 
 def _scene_nodes(framed, times, params, cache):
@@ -516,7 +521,7 @@ def _scene_nodes(framed, times, params, cache):
         at = path(when, slot) + shifts[slot]
         return _Nodes(np.ascontiguousarray(at.T), coefs, np.zeros(entries.size), [[1] * n] * count,
                       [i * n for i in range(count + 1)], np.zeros(1, dtype=int), np.zeros((0, 2)), np.zeros(0),
-                      np.zeros(0), np.zeros(0, dtype=int), [0] * (count + 1))
+                      np.zeros(0), np.zeros(0, dtype=int), [0] * (count + 1), framed, times, params)
     rate = rates[slot].tolist()
     keys = [_table_key(params, _tau_breakpoints(src.trajectory, t, params), rate[i * n + k])
             for i, t in enumerate(times) for k, src in enumerate(sources)]
@@ -548,7 +553,7 @@ def _scene_nodes(framed, times, params, cache):
                   coefs.repeat(ks) * np.concatenate([tab.weights for tab in tabs]), lags[:k],
                   [ks[i:i + n] for i in range(0, entries.size, n)], node_at.tolist()[::n], starts,
                   np.concatenate([tab.panels for tab in tabs]), lengths, gaps, (entries % n).repeat(ps),
-                  list(accumulate(ps, initial=0))[::n])
+                  list(accumulate(ps, initial=0))[::n], framed, times, params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,10 +567,10 @@ class PreparedScene:
     scene then evaluates as a plain N-body sum over these nodes.
 
     The nodes are the coarse tables, one per source, their coordinates held
-    as (3, K) rows for the block sum. Coarse panel p holds nodes starts[p]
-    up to starts[p + 1], and keeps what a block of points needs to split it
-    near the past path: its lag edges, polyline length and longest polyline
-    step, and which source's (path, shift, -G M) it samples.
+    as (3, K) rows for the block sum; coarse panel p holds nodes starts[p]
+    up to starts[p + 1]. A scene is one time's slice of a node pass
+    (_scene_nodes), for callers that want the nodes themselves; evaluation
+    reads the pass, and plans its near-path splits from it.
     """
 
     coords: np.ndarray  # (3, K), node x, y and z, each contiguous
@@ -573,11 +578,6 @@ class PreparedScene:
     lags: np.ndarray  # (K,), kernel lag tau of each node
     n_nodes_per_source: tuple
     starts: np.ndarray  # (P + 1,), node offset of each coarse panel, then its end
-    panel_edges: np.ndarray  # (P, 2), lag interval of each coarse panel
-    panel_lengths: np.ndarray  # (P,), polyline length through end points and nodes
-    panel_gaps: np.ndarray  # (P,), longest step of that polyline
-    panel_sources: np.ndarray  # (P,), index into paths
-    paths: tuple  # per source (path, shift, -G M)
     t: float
     params: KernelParams
 
@@ -585,22 +585,6 @@ class PreparedScene:
     def positions(self):
         """Node positions (K, 3), a view of coords."""
         return self.coords.T
-
-
-def _scene(nodes, framed, i, t, params):
-    """PreparedScene at times[i] = t: time i's slice of the batch of _scene_nodes, and its slots of ``framed``."""
-    sources, path, shifts, _ = framed
-    count = len(nodes.counts)
-    a, b = nodes.node_at[i], nodes.node_at[i + 1]
-    p, q = nodes.panel_at[i], nodes.panel_at[i + 1]
-    slots = range(i, len(shifts), count)  # source k's at k * count + i
-    paths = tuple((partial(path, slot=j), shifts[j], -G * src.mass) for j, src in zip(slots, sources))
-    starts = nodes.starts[p:q + 1]
-    return PreparedScene(
-        np.ascontiguousarray(nodes.coords[:, a:b]), nodes.weights[a:b], nodes.lags[a:b], tuple(nodes.counts[i]),
-        starts - starts[0], nodes.edges[p:q], nodes.lengths[p:q], nodes.gaps[p:q], nodes.sources[p:q], paths,
-        t, params
-    )
 
 
 def prepare_scenes(sources, ambient, times, params):
@@ -615,9 +599,13 @@ def prepare_scenes(sources, ambient, times, params):
     times = [float(t) for t in times]
     if not times:
         return []
-    framed = _framed(sources, ambient, times, params)
-    nodes = _scene_nodes(framed, times, params, {})
-    return [_scene(nodes, framed, i, t, params) for i, t in enumerate(times)]
+    nodes = _scene_nodes(_framed(sources, ambient, times, params), times, params, {})
+    scenes = []
+    for i, t in enumerate(times):
+        a, b = nodes.node_at[i], nodes.node_at[i + 1]
+        scenes.append(PreparedScene(np.ascontiguousarray(nodes.coords[:, a:b]), nodes.weights[a:b], nodes.lags[a:b],
+                                    tuple(nodes.counts[i]), _panel_starts(nodes, i), t, params))
+    return scenes
 
 
 def prepare_scene(sources, ambient, t, params):
@@ -625,10 +613,17 @@ def prepare_scene(sources, ambient, t, params):
     return prepare_scenes(sources, ambient, [t], params)[0]
 
 
-def _split_counts(scene, r):
-    """Equal sub-panels (b, P) each point needs per coarse panel, from its node distances r (b, K).
+def _panel_starts(nodes, i):
+    """Node offset (P + 1,) of each coarse panel of time i within that time's nodes, then its end."""
+    starts = nodes.starts[nodes.panel_at[i]:nodes.panel_at[i + 1] + 1]
+    return starts - starts[0]
 
-    d_p, the distance from the point to panel p's nearest node less half the
+
+def _split_counts(nodes, i, r):
+    """Equal sub-panels (b, P) each point needs per coarse panel of time i, from its node distances r (b, K).
+
+    ``nodes`` is a node pass (_Nodes) and r runs over time i's nodes. d_p,
+    the distance from the point to panel p's nearest node less half the
     longest step of the panel's polyline, bounds its distance to that
     stretch of path from below while the path keeps close to its polyline,
     which the turn-rate limit on panel length (_panel_length) ensures.
@@ -639,29 +634,33 @@ def _split_counts(scene, r):
     so the panel needs ceil(L_p / d_p) of them, at most MAX_SPLIT, and
     MAX_SPLIT when d_p <= 0.
     """
-    if scene.panel_lengths.size == 0:
+    p, q = nodes.panel_at[i], nodes.panel_at[i + 1]
+    if p == q:
         return np.ones((r.shape[0], 0), dtype=int)
-    near = np.minimum.reduceat(r, scene.starts[:-1], axis=1) - 0.5 * scene.panel_gaps
+    near = np.minimum.reduceat(r, _panel_starts(nodes, i)[:-1], axis=1) - 0.5 * nodes.gaps[p:q]
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.ceil(scene.panel_lengths / near)
+        m = np.ceil(nodes.lengths[p:q] / near)
     m[~(near > 0.0)] = MAX_SPLIT
     return np.minimum(np.maximum(m, 1.0), MAX_SPLIT).astype(int)
 
 
-def _split_nodes(scene, m):
-    """(panel, sub-node coords (3, k), weights, lags) per panel with m_p > 1.
+def _split_nodes(nodes, i, m):
+    """(panel, sub-node coords (3, k), weights, lags) per panel of time i with m_p > 1.
 
-    The sub-nodes come from the framed path the scene already holds, not
-    from a new node table.
+    The sub-nodes come from the framed path the node pass was sampled from,
+    not from a new node table.
     """
-    order = scene.params.quadrature.order
+    sources, path, shifts, _ = nodes.framed
+    params, t = nodes.params, nodes.times[i]
+    order, first = params.quadrature.order, nodes.panel_at[i]
     out = []
     for p in np.flatnonzero(m > 1):
-        path, shift, coef = scene.paths[scene.panel_sources[p]]
-        edges = np.linspace(*scene.panel_edges[p], m[p] + 1)
-        taus, weights, _ = _panel_nodes(edges[:-1], edges[1:], scene.params.tau_g, (order,) * m[p])
-        coords = np.ascontiguousarray((path(scene.t - taus) + shift).T)
-        out.append((p, coords, coef * weights, taus))
+        k = nodes.sources[first + p]
+        slot = k * len(nodes.times) + i
+        edges = np.linspace(*nodes.edges[first + p], m[p] + 1)
+        taus, weights, _ = _panel_nodes(edges[:-1], edges[1:], params.tau_g, (order,) * m[p])
+        coords = np.ascontiguousarray((path(t - taus, slot) + shifts[slot]).T)
+        out.append((p, coords, -G * sources[k].mass * weights, taus))
     return out
 
 
@@ -716,44 +715,30 @@ def _reach(lengths, gaps, at):
     return np.maximum.reduceat(lengths + 0.5 * gaps, at[:-1]) * (1.0 + 1e-9)
 
 
-def _guard_hit(scene, pt, m):
-    """SingularApproach for the node nearest ``pt`` among those _values summed it against.
+def _split_sums(nodes, i, counts, pts, phi, grad, singular):
+    """Add time i's sub-panel sums to its rows, in place, and nan its guarded rows.
 
-    ``m`` is the split of the point's block. The point traded a panel's
-    coarse nodes for its sub-panel nodes where it needed the split and no
-    coarse node guarded it; those coarse nodes stay candidates, since they
-    all lie outside the guard radius that some evaluated node fell inside.
+    Returns the guard error and the time's table. ``counts`` (n, P) is the
+    split plan of the rows pts (_split_counts), all 1 for a guarded row.
+    Each CHUNK block of rows splits a panel into the most sub-panels any of
+    its rows needs, so a given map's bytes stay fixed, and only the rows
+    that need the split sum its sub-panel nodes; the others keep the coarse
+    panel, which has converged for them. Each block's sub-panel node sets
+    are built once: the sums read them, and so does the guard. The guard
+    error is that of the first guarded row, naming the nearest node it was
+    summed against: one of the time's coarse nodes (those of a panel it
+    split all lie outside the guard radius that some evaluated node fell
+    inside) or of the sub-panels it took; None if no row is guarded. The
+    table (nodes, panels, split panels) counts split panels at their
+    largest split.
     """
-    eps = scene.params.softening_eps
-    r = _tile(pt[None, :], scene.coords)[2]
-    need = (_split_counts(scene, r)[0] > 1) & ~np.any(r <= eps)
-    sources = np.repeat(np.arange(len(scene.n_nodes_per_source)), scene.n_nodes_per_source)
-    candidates = [(scene.coords, scene.lags, sources)] + [
-        (coords, taus, np.full(taus.size, scene.panel_sources[p]))
-        for p, coords, _, taus in _split_nodes(scene, m) if need[p]
-    ]
-    coords, lags, sources = (np.concatenate(c, axis=-1) for c in zip(*candidates))
-    r = _tile(pt[None, :], coords)[2][0]
-    k = int(np.argmin(r))
-    return _guard_error(float(r[k]), scene.t - float(lags[k]), eps, int(sources[k]))
-
-
-def _split_sums(scene, counts, pts, phi, grad, singular):
-    """Add one time's sub-panel sums to its rows, in place, and nan its guarded rows; returns its guard error.
-
-    ``counts`` (n, P) holds each row's split counts (_split_counts), all 1
-    for a guarded row. Each CHUNK block of rows splits a panel into the most
-    sub-panels any of its rows needs, so a given map's bytes stay fixed, and
-    only the rows that need the split sum its sub-panel nodes; the others
-    keep the coarse panel, which has converged for them. The guard error is
-    that of the first guarded row (_guard_hit), or None.
-    """
-    eps = scene.params.softening_eps
+    eps, order = nodes.params.softening_eps, nodes.params.quadrature.order
+    a, b = nodes.node_at[i], nodes.node_at[i + 1]
     error = None
     for lo in range(0, len(pts), CHUNK):
         block = counts[lo:lo + CHUNK]
-        m = block.max(axis=0, initial=1)
-        for p, coords, weights, _ in _split_nodes(scene, m):
+        splits = _split_nodes(nodes, i, block.max(axis=0, initial=1))
+        for p, coords, weights, _ in splits:
             need = lo + np.flatnonzero(block[:, p] > 1)
             step = _tile_rows(coords.shape[1])
             for s in range(0, need.size, step):
@@ -765,10 +750,22 @@ def _split_sums(scene, counts, pts, phi, grad, singular):
                 grad[rows] += tile_grad
         hit = singular[lo:lo + CHUNK]
         if error is None and hit.any():
-            error = _guard_hit(scene, pts[lo + np.argmax(hit)], m)
+            row = int(np.argmax(hit))
+            source = np.repeat(np.arange(len(nodes.counts[i])), nodes.counts[i])
+            candidates = [(nodes.coords[:, a:b], nodes.lags[a:b], source)] + [
+                (coords, taus, np.full(taus.size, nodes.sources[nodes.panel_at[i] + p]))
+                for p, coords, _, taus in splits if block[row, p] > 1
+            ]
+            coords, lags, source = (np.concatenate(c, axis=-1) for c in zip(*candidates))
+            r = _tile(pts[lo + row][None, :], coords)[2][0]
+            k = int(np.argmin(r))
+            error = _guard_error(float(r[k]), nodes.times[i] - float(lags[k]), eps, int(source[k]))
     phi[singular] = np.nan
     grad[singular] = np.nan
-    return error
+    m = counts.max(axis=0, initial=1)
+    split = m > 1
+    extra = (m * order - np.diff(_panel_starts(nodes, i)))[split].sum()
+    return error, (b - a + int(extra), int(m.sum()), int(split.sum()))
 
 
 def _values(framed, points, times, params, tables=None):
@@ -782,18 +779,18 @@ def _values(framed, points, times, params, tables=None):
     nodes once: a tile of one time's rows broadcasts that time's (3, K)
     nodes, a tile that mixes times gathers (3, rows, K). The same pass
     masks the rows that hit the guard and gives each row that comes within
-    reach of a panel its split counts (_split_counts) from its own time's
-    panels, on that time's PreparedScene, cut from the node pass only then;
-    such a row trades each panel it splits for the panel's sub-panel nodes
-    (_split_sums). Each row reduces along its own nodes only, pairwise, so
-    every value is its time's alone, bit for bit, for any stacking or
-    tiling; the pairwise rounding grows with log K, not K, which matters
-    since shift fits amplify ulp noise by the probe-distance / displacement
-    ratio.
+    reach of a panel its split counts (_split_counts), planned from its own
+    time's panels in the node pass; such a row trades each panel it splits
+    for the panel's sub-panel nodes (_split_sums), which runs only for a
+    time with a split or a guarded row. Each row reduces along its own
+    nodes only, pairwise, so every value is its time's alone, bit for bit,
+    for any stacking or tiling; the pairwise rounding grows with log K,
+    not K, which matters since shift fits amplify ulp noise by the
+    probe-distance / displacement ratio.
 
     Guarded rows are nan. The guard error is None or the SingularApproach
     of the time's first guarded point, naming the nearest node it was
-    summed against (_guard_hit); _checked raises the earliest. The table
+    summed against (_split_sums); _checked raises the earliest. The table
     (nodes, panels, split panels) is summed over sources, split panels at
     their largest split. ``tables`` keeps node tables between calls (see
     _tables).
@@ -802,14 +799,6 @@ def _values(framed, points, times, params, tables=None):
     eps, count = params.softening_eps, len(times)
     node_at, panel_at = nodes.node_at, nodes.panel_at
     reach = _reach(nodes.lengths, nodes.gaps, nodes.panel_at)
-    order = params.quadrature.order
-    scenes = {}
-
-    def scene(i):
-        if i not in scenes:
-            scenes[i] = _scene(nodes, framed, i, times[i], params)
-        return scenes[i]
-
     stacks = {}
     for i in range(count):
         stacks.setdefault(node_at[i + 1] - node_at[i], []).append(i)
@@ -835,24 +824,20 @@ def _values(framed, points, times, params, tables=None):
                     pts[lo:lo + step], nodes.coords[:, cols], nodes.weights[cols], near[at], eps)
                 for jj in np.unique(j[close]).tolist() if close.any() else ():  # each time's close rows
                     own = np.flatnonzero(close & (j == jj))
-                    sc = scene(idx[jj])
+                    i = idx[jj]
                     if jj not in counts:
-                        counts[jj] = np.ones((lengths[jj], sc.starts.size - 1), dtype=int)
-                    counts[jj][lo + own - row_at[jj]] = need = _split_counts(sc, r[own])
+                        counts[jj] = np.ones((lengths[jj], panel_at[i + 1] - panel_at[i]), dtype=int)
+                    counts[jj][lo + own - row_at[jj]] = need = _split_counts(nodes, i, r[own])
+                    starts = _panel_starts(nodes, i)
                     for p in np.flatnonzero((need > 1).any(axis=0)):  # trade split panels for sub-panels
-                        inv[own[need[:, p] > 1], sc.starts[p]:sc.starts[p + 1]] = 0.0
+                        inv[own[need[:, p] > 1], starts[p]:starts[p + 1]] = 0.0
                 phi[lo:lo + step], grad[lo:lo + step] = _tile_sums(inv, r2, d)
             odd = counts.keys() | set(row_time[singular].tolist())
             for jj, (i, a, b) in enumerate(zip(idx, row_at, row_at[1:])):
                 error, table = None, (k, panel_at[i + 1] - panel_at[i], 0)
                 if jj in odd:
-                    sc = scene(i)
-                    c = counts[jj] if jj in counts else np.ones((b - a, sc.starts.size - 1), dtype=int)
-                    error = _split_sums(sc, c, pts[a:b], phi[a:b], grad[a:b], singular[a:b])
-                    m = c.max(axis=0, initial=1)
-                    split = m > 1
-                    nodes_used = k + int((m * order - np.diff(sc.starts))[split].sum())
-                    table = (nodes_used, int(m.sum()), int(split.sum()))
+                    c = counts[jj] if jj in counts else np.ones((b - a, panel_at[i + 1] - panel_at[i]), dtype=int)
+                    error, table = _split_sums(nodes, i, c, pts[a:b], phi[a:b], grad[a:b], singular[a:b])
                 out[i] = phi[a:b], grad[a:b], singular[a:b], error, table
     return out
 
@@ -924,11 +909,15 @@ def scene_potential_fields(sources, ambient, points, times, params):
     continue. Every time is framed in one batch (_framed) and summed by
     _values, the route single-point calls and reports take, on the calling
     thread, so identical inputs give byte-identical outputs, and each
-    time's rows are the same whichever other times share the call.
+    time's rows are the same whichever other times share the call. A
+    non-finite point raises ValueError, as single-point calls do (as_vec3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"points must be finite, got {pts[bad][0].tolist()} at row {int(np.argmax(bad))}")
     times = [float(t) for t in times]
     if not times:
         return []

@@ -20,7 +20,9 @@ from lazy_newton.evaluator import (
     GaussLegendre,
     KernelParams,
     Source,
+    _framed,
     _gauss_legendre,
+    _scene_nodes,
     _split_counts,
     _split_nodes,
     _tile,
@@ -28,7 +30,6 @@ from lazy_newton.evaluator import (
     delayed_potential,
     delayed_potential_naive,
     kernel_weights,
-    prepare_scene,
     scene_potential_field,
 )
 from lazy_newton.frames import PointMassField, UniformField, ZeroField, build_frame
@@ -387,19 +388,19 @@ def field_sum_error(sources, amb, pts, t, params):
     """Largest |grad - fsum(terms)| of a field map over points and components, in eps * sum|terms|.
 
     The terms w (r - x) / |r - x|^3 are formed here one node at a time, over
-    the nodes the map evaluates: the coarse table of the time's prepared
-    scene, with a lone point's split panels traded for their sub-panel
-    nodes. A block of several points must split no panel, so that all of
-    its points share the coarse table.
+    the nodes the map evaluates: the coarse table of the time's node pass,
+    with a lone point's split panels traded for their sub-panel nodes. A
+    block of several points must split no panel, so that all of its points
+    share the coarse table.
     """
-    scene = prepare_scene(sources, amb, t, params)
+    nodes = _scene_nodes(_framed(sources, amb, [t], params), [t], params, {})
     _, grad, singular = scene_potential_field(sources, amb, pts, t, params)
-    m = _split_counts(scene, _tile(pts, scene.coords)[2]).max(axis=0, initial=1)
+    m = _split_counts(nodes, 0, _tile(pts, nodes.coords)[2]).max(axis=0, initial=1)
     assert not singular.any() and (len(pts) == 1 or (m == 1).all())
-    splits = _split_nodes(scene, m)
-    keep = np.repeat(m == 1, np.diff(scene.starts))
-    positions = np.concatenate([scene.positions[keep]] + [c.T for _, c, _, _ in splits])
-    weights = np.concatenate([scene.weights[keep]] + [w for _, _, w, _ in splits])
+    splits = _split_nodes(nodes, 0, m)
+    keep = np.repeat(m == 1, np.diff(nodes.starts))
+    positions = np.concatenate([nodes.coords.T[keep]] + [c.T for _, c, _, _ in splits])
+    weights = np.concatenate([nodes.weights[keep]] + [w for _, _, w, _ in splits])
     worst = 0.0
     for p, g in zip(pts, grad):
         d = p - positions

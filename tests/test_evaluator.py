@@ -21,6 +21,7 @@ from lazy_newton.evaluator import (
     _framed,
     _gauss_legendre,
     _panel_nodes,
+    _scene_nodes,
     _split_counts,
     _tile,
     _tile_rows,
@@ -792,6 +793,67 @@ class TestSuperposition:
         assert exc.value.source_index == 1
 
 
+class TestSplitGuard:
+    """A split row's guard error names the nearest node it was summed against.
+
+    The scene lists a static source first and a 1 m, 100 rad/s orbit
+    second, on the naive route with a 0.1 mm guard radius; points lie
+    1e-7 to 1e-4 m off the orbit's past path, where the orbit's panels
+    split and only their sub-panel nodes come inside the guard.
+    """
+
+    orbit = CircularOrbit((0, 0, 0), 1.0, 100.0)
+    sources = [Source(2.0, Static((0, 0, 0))), Source(1.0, orbit)]
+    params = KernelParams(1e-3, softening_eps=1e-4)
+
+    def near_path(self, rng, t):
+        u = rng.normal(size=3)
+        lag = rng.uniform(0.0, self.params.t_max)
+        return self.orbit.position(t - lag) + 10.0 ** rng.uniform(-7.0, -4.0) * u / np.linalg.norm(u)
+
+    def values(self, pts, t):
+        return evaluator._values(evaluator._naive(self.sources), [pts], [t], self.params)[0]
+
+    def test_distance_is_that_of_the_named_orbit_position(self):
+        rng = np.random.default_rng(17)
+        raised = 0
+        for _ in range(200):
+            t = float(rng.uniform(0.0, 0.01))
+            r = self.near_path(rng, t)
+            error = self.values(r[None, :], t)[3]
+            if error is None:
+                continue
+            raised += 1
+            assert error.source_index == 1
+            assert error.distance <= self.params.softening_eps
+            oracle = math.dist(r, self.orbit.position(error.when))
+            assert abs(error.distance - oracle) <= 4e-16 * oracle
+        assert raised >= 100
+
+    def test_first_guarded_row_in_a_later_block_raises_as_alone(self):
+        rng = np.random.default_rng(23)
+        t = 2e-3
+        pts = rng.uniform(-3.0, 3.0, (600, 3)) + np.array([0.0, 0.0, 8.0])  # far: no split, no guard
+        for k in range(10, 20):  # first-block rows 1 cm off the past path
+            pts[k] = self.orbit.position(t - 0.003 * (k - 9)) + np.array([0.0, 0.0, 0.01])
+        *_, error, (_, _, split) = self.values(pts[:CHUNK], t)
+        assert error is None and split > 0  # the first block splits panels, unguarded
+        alone = None
+        while alone is None:  # a point that the guard catches
+            pts[550] = self.near_path(rng, t)
+            alone = self.values(pts[550:551], t)[3]
+        assert 550 // CHUNK == 1
+        phi, _, singular, error, _ = self.values(pts, t)
+        assert np.flatnonzero(singular).tolist() == [550] and np.isfinite(phi[:550]).all()
+        key = (str(error), error.distance, error.when, error.source_index)
+        assert key == (str(alone), alone.distance, alone.when, alone.source_index)
+
+
+def node_pass(sources, amb, t, params):
+    """The node pass (_Nodes) of one time, as _values plans its splits from it."""
+    return _scene_nodes(_framed(sources, amb, [t], params), [t], params, {})
+
+
 class TestSceneEvaluation:
     def scene(self):
         sources = [
@@ -830,14 +892,19 @@ class TestSceneEvaluation:
         params = KernelParams(1e-3, quadrature=GaussLegendre(order=42))
         assert np.diff(kernel_weights(params).starts)[-1] == 9
         times = [0.013, 0.052, 0.021, 0.07, 0.013]
-        for t, scene in zip(times, prepare_scenes(sources, amb, times, params)):
+        framed = _framed(sources, amb, times, params)
+        nodes = _scene_nodes(framed, times, params, {})
+        for i, (t, scene) in enumerate(zip(times, prepare_scenes(sources, amb, times, params))):
             alone = prepare_scene(sources, amb, t, params)
             assert scene.t == alone.t and scene.n_nodes_per_source == alone.n_nodes_per_source
-            for name in ("coords", "weights", "lags", "starts", "panel_edges", "panel_lengths",
-                         "panel_gaps", "panel_sources"):
+            for name in ("coords", "weights", "lags", "starts"):
                 assert getattr(scene, name).tobytes() == getattr(alone, name).tobytes(), name
-            for (_, shift, coef), (_, shift1, coef1) in zip(scene.paths, alone.paths):
-                assert shift.tobytes() == shift1.tobytes() and coef == coef1
+            # what a split reads: the time's panels in the node pass, and each source's frame shift
+            own = node_pass(sources, amb, t, params)
+            p, q = nodes.panel_at[i], nodes.panel_at[i + 1]
+            for name in ("edges", "lengths", "gaps", "sources"):
+                assert getattr(nodes, name)[p:q].tobytes() == getattr(own, name).tobytes(), name
+            assert framed[2][i::len(times)].tobytes() == own.framed[2].tobytes()
 
     def test_matches_per_point_evaluators(self):
         sources, amb = self.scene()
@@ -868,8 +935,8 @@ class TestSceneEvaluation:
         params = KernelParams(1e-3)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2, 2, (1100, 3)) + np.array([0.0, 0.0, 4.0])
-        scene = prepare_scene(sources, amb, 0.0, params)
-        assert _split_counts(scene, _tile(pts, scene.coords)[2]).max() == 1
+        nodes = node_pass(sources, amb, 0.0, params)
+        assert _split_counts(nodes, 0, _tile(pts, nodes.coords)[2]).max() == 1
         phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
         phi_rev, grad_rev, _ = scene_potential_field(sources, amb, pts[::-1], 0.0, params)
         assert phi.tobytes() == phi_rev[::-1].tobytes()
@@ -886,8 +953,8 @@ class TestSceneEvaluation:
         params = KernelParams(1e-3)
         xs = np.linspace(-2.49, 2.51, 41)
         pts = np.column_stack([np.repeat(xs, 41), np.tile(xs, 41), np.zeros(41 * 41)])
-        scene = prepare_scene(sources, amb, 0.0, params)
-        rows = _tile_rows(scene.coords.shape[1])
+        nodes = node_pass(sources, amb, 0.0, params)
+        rows = _tile_rows(nodes.coords.shape[1])
         split_panels, split_blocks, split_tiles = 0, set(), set()
         block_phi, block_grad = [], []
         for lo in range(0, len(pts), CHUNK):
@@ -897,7 +964,7 @@ class TestSceneEvaluation:
             block_phi.append(phi)
             block_grad.append(grad)
             # the block's split is the largest need of any point, skipped rows included
-            counts = _split_counts(scene, _tile(block, scene.coords)[2])
+            counts = _split_counts(nodes, 0, _tile(block, nodes.coords)[2])
             m = counts.max(axis=0)
             assert not singular.any()
             assert (panels, split) == (m.sum(), np.sum(m > 1))
@@ -923,9 +990,9 @@ class TestSceneEvaluation:
         params = KernelParams(1e-3)
         xs = np.linspace(-2.49, 2.51, 41)
         pts = np.column_stack([np.repeat(xs, 41), np.tile(xs, 41), np.zeros(41 * 41)])
-        scene = prepare_scene(sources, amb, 0.0, params)
-        assert _tile_rows(scene.coords.shape[1]) > TILE
-        assert _split_counts(scene, _tile(pts[:CHUNK], scene.coords)[2]).max() > 1
+        nodes = node_pass(sources, amb, 0.0, params)
+        assert _tile_rows(nodes.coords.shape[1]) > TILE
+        assert _split_counts(nodes, 0, _tile(pts[:CHUNK], nodes.coords)[2]).max() > 1
         phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
         monkeypatch.setattr(evaluator, "_tile_rows", lambda k: TILE)
         phi16, grad16, _ = scene_potential_field(sources, amb, pts, 0.0, params)
@@ -951,12 +1018,12 @@ class TestSceneEvaluation:
 
         monkeypatch.setattr(FreeFallFrame, "origin", counted)
         t = 0.37
-        scene = prepare_scene(sources, amb, t, KernelParams(1e-3))
+        prepare_scene(sources, amb, t, KernelParams(1e-3))
         assert len(calls) <= len(sources) + 1
         assert not any(s.ndim == 0 and s == t for s in calls)
         monkeypatch.undo()
         positions = np.array([src.trajectory.position(t) for src in sources])
-        np.testing.assert_array_equal([shift for _, shift, _ in scene.paths], positions)
+        np.testing.assert_array_equal(_framed(sources, amb, [t], KernelParams(1e-3))[2], positions)
 
     def test_point_mass_map_takes_one_node_solve(self, monkeypatch):
         # three sources on Kepler circles at six times, as the bench's point-mass
@@ -994,8 +1061,8 @@ class TestSceneEvaluation:
         rng = np.random.default_rng(3)
         pts = rng.uniform(-2, 2, (37, 3)) + np.array([0.0, 0.0, 3.0])
         pts[7] = [1.0, 0.002, 0.0]  # near the orbit, where the coarse table splits
-        scene = prepare_scene(sources, amb, 0.0, params)
-        assert _split_counts(scene, _tile(pts, scene.coords)[2]).max() > 1
+        nodes = node_pass(sources, amb, 0.0, params)
+        assert _split_counts(nodes, 0, _tile(pts, nodes.coords)[2]).max() > 1
         phi, grad, _ = scene_potential_field(sources, amb, pts, 0.0, params)
         for k, r in enumerate(pts):
             phi1, grad1, _ = scene_potential_field(sources, amb, r[None, :], 0.0, params)
@@ -1168,6 +1235,17 @@ class TestMapEdges:
         out = scene_potential_fields(sources, amb, np.zeros((0, 3)), [0.0, 1e-3], KernelParams(1e-3))
         shapes = [(phi.shape, grad.shape, singular.shape) for phi, grad, singular in out]
         assert shapes == [((0,), (0, 3), (0,))] * 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_raise(self, bad):
+        # such a point would pass the reach test or sum to 0.0, unmasked
+        sources, amb = self.scene()
+        pts = np.tile([0.5, 0.5, 2.0], (1000, 1))
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            scene_potential_fields(sources, amb, pts, [0.0, 1e-3], KernelParams(1e-3))
+        with pytest.raises(ValueError, match="finite"):
+            scene_potential_field(sources, amb, pts[7], 0.0, KernelParams(1e-3))
 
     @pytest.mark.parametrize("tau_g", [1e-3, 0.0], ids=["gauss_legendre", "newtonian"])
     def test_no_times(self, tau_g):
