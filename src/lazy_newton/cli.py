@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError, SingularApproach
+from .errors import ConfigError, SingularApproach
 from .evaluator import (
     GaussLegendre,
     KernelParams,
@@ -442,19 +442,19 @@ def _format_json(points, slices):
     return _JSON_HEAD + "[\n" + rows[:-2].decode("ascii") + "\n  ]\n}\n"
 
 
+def _read_json(path, what):
+    """The JSON document of file ``path``; ConfigError names the path if it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(path, f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(path, f"invalid JSON: {exc}") from None
+
+
 def _cmd_field(args):
-    try:
-        scene_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(args.config, f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(args.config, f"invalid JSON: {exc}") from None
-    try:
-        grid_doc = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(args.grid, f"cannot read grid: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(args.grid, f"invalid JSON: {exc}") from None
+    scene_doc = _read_json(args.config, "config")
+    grid_doc = _read_json(args.grid, "grid")
     scene = parse_scene_config(scene_doc)
     grid = parse_grid_spec(grid_doc)
 
@@ -553,16 +553,10 @@ def main(argv=None):
                                                             40.0 * args.tau_g, 50)]
             return _cmd_scenario(args)
         return _cmd_field(args)
-    except (RegimeError, ConfigError) as exc:
+    except ValueError as exc:  # RegimeError and ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SingularApproach as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ArithmeticError) as exc:
+    except (SingularApproach, RuntimeError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 

@@ -270,27 +270,19 @@ def _match_mass(weights, mass):
     the whole miss, then single-ulp steps follow; a step that jumps the sum
     over ``mass`` moves on to the next-largest weight, whose ulp is finer.
     The sum ends within an ulp of the mass even if the 64 steps run out.
-    The weights are ranked (argsort, descending) only for a tie at the top
-    or once the single-ulp steps run.
+    The weights are ranked once (argsort, descending), before the first
+    correction.
     """
     miss = weights.sum() - mass
     if miss == 0.0 or abs(miss) > 16.0 * math.ulp(mass):
         return
-    top = int(np.argmax(weights))
-    if np.count_nonzero(weights == weights[top]) > 1:
-        top = int(np.argsort(weights)[-1])  # argsort ranks ties its own way
-    raw = weights[top]
-    weights[top] -= miss
-    order = None
+    order = np.argsort(weights)[::-1]
+    weights[order[0]] -= miss
     j = 0
     for _ in range(64):
         last, miss = miss, weights.sum() - mass
         if miss == 0.0:
             return
-        if order is None:  # rank the weights as they were before the first step
-            weights[top], stepped = raw, weights[top]
-            order = np.argsort(weights)[::-1]
-            weights[top] = stepped
         if miss * last < 0.0:
             j = min(j + 1, order.size - 1)
         weights[order[j]] = np.nextafter(weights[order[j]], -math.copysign(math.inf, miss))
@@ -414,18 +406,19 @@ def _tau_breakpoints(trajectory, t, params):
     return [t - s for s in trajectory.breakpoints_in(t - params.t_max, t)]
 
 
-def _slot_path(positions, count, origin, s, slot):
-    """Lab position at s of the source of each slot k * count + i, less origin(s, slot) unless origin is None.
+def _slot_path(positions, origin, s, slot):
+    """Lab position at s of the source of each slot, less origin(s, slot) unless origin is None.
 
-    ``positions`` holds each source's lab path; ``slot`` is one slot or an
-    array like s.
+    ``positions`` holds each source's lab path; slot i * S + k is source
+    k = slot % S at the i-th time (build_frames). ``slot`` is one slot or
+    an array like s.
     """
     if len(positions) == 1:
         at = positions[0](s)
     elif np.ndim(slot) == 0:
-        at = positions[slot // count](s)
+        at = positions[slot % len(positions)](s)
     else:
-        k = slot // count
+        k = slot % len(positions)
         at = np.empty((s.size, 3))
         for j, position in enumerate(positions):
             own = k == j
@@ -436,37 +429,37 @@ def _slot_path(positions, count, origin, s, slot):
 def _naive(sources, count=1, path=None):
     """(sources, path, shifts, turn rates) of the naive form at ``count`` times: lab paths, no shift.
 
-    Slots are laid out as in _framed. A caller's ``path`` replaces a lone
-    source's trajectory and is taken to wind no faster than it.
+    Slot i * S + k is source k at the i-th time, as in _framed. A caller's
+    ``path`` replaces a lone source's trajectory and is taken to wind no
+    faster than it.
     """
     positions = [src.trajectory.position for src in sources] if path is None else [path]
-    rates = np.array([src.trajectory.turn_rate for src in sources]).repeat(count)
-    return sources, partial(_slot_path, positions, count, None), np.zeros((rates.size, 3)), rates
+    rates = np.tile([src.trajectory.turn_rate for src in sources], count)
+    return sources, partial(_slot_path, positions, None), np.zeros((rates.size, 3)), rates
 
 
 def _framed(sources, ambient, times, params):
     """(sources, path, shifts, turn rates) of a scene seen from its free-fall frames matched at ``times``.
 
     One build_frames call frames every source at every time: source k at
-    times[i] is slot k * T + i of one FreeFallFrame, so one window-start
+    times[i] is slot i * S + k of one FreeFallFrame, so one window-start
     solve gives every guard verdict and turn rate, and one ``path(s, slot)``
     call, the slot's source path relative to its frame, covers any mix of
     slots. shifts[slot] is that frame's origin at its match time and
     rates[slot] the turn rate of the slot's node table: the trajectory's or,
     if faster, the frame's. A frame whose path enters the ambient guard
-    raises SingularApproach for the earliest such time, and there for the
-    first such source, as framing the times and sources one by one would.
+    raises SingularApproach for the first such slot: the earliest such time
+    and, there, the first such source, as framing the times and sources one
+    by one would.
     """
     if params.tau_g == 0.0:  # no look-back: only the lab position at t matters
         return _naive(sources, len(times))
-    count = len(times)
     frame = build_frames([src.trajectory for src in sources], ambient, times, params.t_max)
     inside = frame.inside_guard
     if inside.any():
-        i, k = divmod(int(np.argmax(inside.reshape(-1, count).T)), len(sources))
-        raise frame.guard_error(k * count + i)
-    own = np.array([src.trajectory.turn_rate for src in sources]).repeat(count)
-    path = partial(_slot_path, [src.trajectory.position for src in sources], count, frame.origin)
+        raise frame.guard_error(int(np.argmax(inside)))
+    own = np.tile([src.trajectory.turn_rate for src in sources], len(times))
+    path = partial(_slot_path, [src.trajectory.position for src in sources], frame.origin)
     return sources, path, frame.match_origin, np.maximum(own, frame.turn_rate)
 
 
@@ -474,10 +467,10 @@ class _Nodes(NamedTuple):
     """A scene's effective nodes and coarse panels at every time of a batch, flat.
 
     The batch runs time after time and, within a time, source after source,
-    as a PreparedScene lays them out: time i holds nodes node_at[i] up to
-    node_at[i + 1] and panels panel_at[i] up to panel_at[i + 1]. It keeps
-    the framed paths, times and params it was sampled from, so a panel can
-    be split from it alone (_split_nodes).
+    as _framed numbers its slots and a PreparedScene lays them out: time i
+    holds nodes node_at[i] up to node_at[i + 1] and panels panel_at[i] up to
+    panel_at[i + 1]. It keeps the framed paths, times and params it was
+    sampled from, so a panel can be split from it alone (_split_nodes).
     """
 
     coords: np.ndarray  # (3, K), node x, y and z, each contiguous
@@ -499,10 +492,10 @@ class _Nodes(NamedTuple):
 def _scene_nodes(framed, times, params, cache):
     """Effective node masses of every source at every time, and the coarse panels they fill (_Nodes).
 
-    Entry j = i * S + k of the batch is source k at times[i], the slot
-    k * T + i of ``framed`` (_framed). The node at lag tau of an entry sits
-    at path(times[i] - tau, slot) + shifts[slot] and carries -G M times its
-    kernel weight from the slot's node table; the tables of every entry come
+    Entry j = i * S + k of the batch is source k at times[i], slot j of
+    ``framed`` (_framed). The node at lag tau of an entry sits at
+    path(times[i] - tau, j) + shifts[j] and carries -G M times its kernel
+    weight from the entry's node table; the tables of every entry come
     from one _tables call, and one path call covers every node and panel
     end point of every entry. Each panel keeps its lag edges (P, 2), the
     length of the polyline through its nodes and two end points, and that
@@ -514,15 +507,14 @@ def _scene_nodes(framed, times, params, cache):
     sources, path, shifts, rates = framed
     count, n = len(times), len(sources)
     entries = np.arange(count * n)
-    slot = entries if n == 1 or count == 1 else entries % n * count + entries // n
     when = np.array(times).repeat(n)
     coefs = np.array([-G * src.mass for src in sources] * count)
     if params.tau_g == 0.0 or not n:
-        at = path(when, slot) + shifts[slot]
+        at = path(when, entries) + shifts
         return _Nodes(np.ascontiguousarray(at.T), coefs, np.zeros(entries.size), [[1] * n] * count,
                       [i * n for i in range(count + 1)], np.zeros(1, dtype=int), np.zeros((0, 2)), np.zeros(0),
                       np.zeros(0), np.zeros(0, dtype=int), [0] * (count + 1), framed, times, params)
-    rate = rates[slot].tolist()
+    rate = rates.tolist()
     keys = [_table_key(params, _tau_breakpoints(src.trajectory, t, params), rate[i * n + k])
             for i, t in enumerate(times) for k, src in enumerate(sources)]
     tabs = _tables(cache, params, keys)
@@ -535,7 +527,7 @@ def _scene_nodes(framed, times, params, cache):
     which = np.repeat(np.arange(3 * entries.size) % entries.size, ks + ps + ps)
     end_lags = np.concatenate([tab.ends for tab in tabs], axis=1)  # (2, P): first end points, then last
     lags = np.concatenate([tab.taus for tab in tabs] + [end_lags.ravel()])
-    at = path(when[which] - lags, slot[which])  # one path call
+    at = path(when[which] - lags, which)  # one path call
     pts = at[:k]
     first, last = starts[:-1], starts[1:] - 1
     # polyline steps: node to node, then each panel's first end point to its
@@ -549,7 +541,7 @@ def _scene_nodes(framed, times, params, cache):
     at_panel = first - which[k:k + p]
     lengths = np.add.reduceat(inner, at_panel) + ends[0] + ends[1]
     gaps = np.maximum(np.maximum.reduceat(inner, at_panel), ends.max(axis=0))
-    return _Nodes(np.ascontiguousarray((pts + shifts[slot[which[:k]]]).T),
+    return _Nodes(np.ascontiguousarray((pts + shifts[which[:k]]).T),
                   coefs.repeat(ks) * np.concatenate([tab.weights for tab in tabs]), lags[:k],
                   [ks[i:i + n] for i in range(0, entries.size, n)], node_at.tolist()[::n], starts,
                   np.concatenate([tab.panels for tab in tabs]), lengths, gaps, (entries % n).repeat(ps),
@@ -635,8 +627,6 @@ def _split_counts(nodes, i, r):
     MAX_SPLIT when d_p <= 0.
     """
     p, q = nodes.panel_at[i], nodes.panel_at[i + 1]
-    if p == q:
-        return np.ones((r.shape[0], 0), dtype=int)
     near = np.minimum.reduceat(r, _panel_starts(nodes, i)[:-1], axis=1) - 0.5 * nodes.gaps[p:q]
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.ceil(nodes.lengths[p:q] / near)
@@ -648,7 +638,7 @@ def _split_nodes(nodes, i, m):
     """(panel, sub-node coords (3, k), weights, lags) per panel of time i with m_p > 1.
 
     The sub-nodes come from the framed path the node pass was sampled from,
-    not from a new node table.
+    at the panel's slot i * S + k, not from a new node table.
     """
     sources, path, shifts, _ = nodes.framed
     params, t = nodes.params, nodes.times[i]
@@ -656,7 +646,7 @@ def _split_nodes(nodes, i, m):
     out = []
     for p in np.flatnonzero(m > 1):
         k = nodes.sources[first + p]
-        slot = k * len(nodes.times) + i
+        slot = i * len(sources) + k
         edges = np.linspace(*nodes.edges[first + p], m[p] + 1)
         taus, weights, _ = _panel_nodes(edges[:-1], edges[1:], params.tau_g, (order,) * m[p])
         coords = np.ascontiguousarray((path(t - taus, slot) + shifts[slot]).T)

@@ -375,10 +375,12 @@ class FreeFallFrame:
 def build_frames(trajs, field, times, horizon):
     """Free-fall frames of every trajectory of ``trajs`` in ``field`` at every match time, as one FreeFallFrame.
 
-    Trajectory k matched at times[i] is the frame's slot k * T + i, so one
-    window-start solve (FreeFallFrame.inside_guard, turn_rate) serves every
-    source of a scene. Each slot's frame is the same, bit for bit, as with
-    any other trajectories or times beside it. ZeroField, UniformField and
+    With S trajectories, trajectory k matched at times[i] is the frame's slot
+    i * S + k: time after time and, within a time, trajectory after
+    trajectory, the order of the evaluator's node pass. One window-start
+    solve (FreeFallFrame.inside_guard, turn_rate) serves every source of a
+    scene. Each slot's frame is the same, bit for bit, as with any other
+    trajectories or times beside it. ZeroField, UniformField and
     PointMassField are supported; any other ambient raises TypeError.
     ``times`` is a scalar or a 1-D array; a scalar and one trajectory give
     scalar-shaped answers. Nothing is refused here: inside_guard marks the
@@ -388,9 +390,10 @@ def build_frames(trajs, field, times, horizon):
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    p_t = np.array([traj.position(times) for traj in trajs], dtype=float)  # (S, T, 3), or (S, 3) at one time
-    v_t = np.array([traj.velocity(times) for traj in trajs], dtype=float)
-    slots = times if len(trajs) == 1 else np.tile(times, len(trajs))
+    shape = len(trajs), np.size(times), 3
+    p_t = np.array([traj.position(times) for traj in trajs], dtype=float).reshape(shape).swapaxes(0, 1)
+    v_t = np.array([traj.velocity(times) for traj in trajs], dtype=float).reshape(shape).swapaxes(0, 1)
+    slots = times if len(trajs) == 1 else np.repeat(times, len(trajs))
     if isinstance(field, ZeroField):
         return FreeFallFrame(slots, horizon, field, p_t, v_t, g=np.zeros(3))
     if isinstance(field, UniformField):

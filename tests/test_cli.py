@@ -569,6 +569,10 @@ class TestFieldCommand:
         bad_scene = write_json(tmp_path / "bad.json", {"sources": [], "tau_g_s": -1.0})
         assert main(["field", "--config", bad_scene, "--grid", grd]) == 2
         capsys.readouterr()
+        cfg = write_json(tmp_path / "scene.json", scene_doc())
+        for grid, message in ((tmp_path / "nogrid.json", "cannot read grid"), (broken, "invalid JSON")):
+            assert main(["field", "--config", cfg, "--grid", str(grid)]) == 2
+            assert f"{grid}: {message}" in capsys.readouterr().err
 
     def test_adaptive_simpson_config_exits_2(self, tmp_path, capsys):
         scene = dict(scene_doc(), quadrature={"scheme": "adaptive_simpson"})

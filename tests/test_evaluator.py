@@ -140,7 +140,11 @@ class TestKernelWeights:
 
 
 def argsort_match_mass(weights, mass):
-    """The mass match as first written: every weight ranked by argsort up front."""
+    """The mass match as first written: every weight ranked by argsort up front.
+
+    _match_mass now has this body, and test_match_mass_picks_what_argsort_picked
+    keeps the two equal, byte for byte.
+    """
     miss = weights.sum() - mass
     if miss == 0.0 or abs(miss) > 16.0 * math.ulp(mass):
         return
@@ -629,37 +633,56 @@ class TestMergedFrames:
         # 1 km/s past a 1e10 kg mass at impact parameter 0.5 mm, inside its 1 mm guard
         return UniformVelocity((x_at_zero, 5e-4, 0.0), (1000.0, 0.0, 0.0))
 
-    def test_each_source_is_framed_as_alone(self):
-        mass = 1e12
+    @staticmethod
+    def kepler_scene(mass):
+        # three Kepler circles about a point mass of ``mass`` and a straight source, at four times
         sources = [
             Source(k + 1.0, CircularOrbit((0, 0, 0), radius, math.sqrt(G * mass / radius**3), phase=phase))
             for k, (radius, phase) in enumerate(((1.0, 0.3), (1.5, 2.0), (2.0, 4.1)))
         ]
         sources.append(Source(0.5, UniformVelocity((3.0, 0.0, 0.0), (0.0, 3.0, 0.0))))
-        params = KernelParams(1e-3)
-        times = [0.1, 0.102, 0.3, 0.7]
+        return sources, KernelParams(1e-3), [0.1, 0.102, 0.3, 0.7]
+
+    def test_each_source_is_framed_as_alone(self):
+        mass = 1e12
+        sources, params, times = self.kepler_scene(mass)
         s = np.concatenate([t - params.t_max * np.linspace(0.0, 1.0, 17) for t in times])
         which = np.repeat(np.arange(len(times)), 17)
-        count = len(times)
+        count, n = len(times), len(sources)
         for amb in (PointMassField((0, 0, 0), mass), UniformField((0, 0, -9.81))):
             own, path, shifts, rates = _framed(sources, amb, times, params)
             assert own is sources
-            assert shifts.shape == (len(sources) * count, 3) and rates.shape == (len(sources) * count,)
+            assert shifts.shape == (n * count, 3) and rates.shape == (n * count,)
             # one path call over every slot of every source, time after time
             # and within a time source after source, as the node pass asks it
-            slots = np.concatenate([k * count + which for k in range(len(sources))])
-            order = np.lexsort((slots // count, slots % count))
-            mixed = np.empty((slots.size, 3))
-            mixed[order] = path(np.tile(s, len(sources))[order], slots[order])
+            slots = np.arange(n * count).repeat(17)
+            mixed = path(np.tile(s.reshape(count, 1, 17), (1, n, 1)).ravel(), slots).reshape(count, n, 17, 3)
             for k, src in enumerate(sources):
                 _, alone_path, alone_shifts, alone_rates = _framed([src], amb, times, params)
-                mine = slice(k * count, (k + 1) * count)
-                assert path(s, k * count + which).tobytes() == alone_path(s, which).tobytes()
-                assert mixed[k * s.size:(k + 1) * s.size].tobytes() == alone_path(s, which).tobytes()
+                mine = slice(k, None, n)
+                assert path(s, which * n + k).tobytes() == alone_path(s, which).tobytes()
+                assert mixed[:, k].tobytes() == alone_path(s, which).tobytes()
                 at2 = s[which == 2]  # one slot for every s, as a prepared scene's path asks it
-                assert path(at2, k * count + 2).tobytes() == alone_path(at2, 2).tobytes()
+                assert path(at2, 2 * n + k).tobytes() == alone_path(at2, 2).tobytes()
                 assert shifts[mine].tobytes() == alone_shifts.tobytes()
                 assert rates[mine].tobytes() == alone_rates.tobytes()
+
+    def test_slots_run_time_major_as_the_node_pass(self):
+        # slot j of the frames and entry j of the node pass are both source
+        # j % S at times[j // S]: the pass reads the framed path and shifts
+        # at its own entry index
+        mass = 1e12
+        sources, params, times = self.kepler_scene(mass)
+        n = len(sources)
+        framed = _framed(sources, PointMassField((0, 0, 0), mass), times, params)
+        _, path, shifts, _ = framed
+        for j in range(n * len(times)):
+            assert shifts[j].tobytes() == sources[j % n].trajectory.position(times[j // n]).tobytes()
+        nodes = _scene_nodes(framed, times, params, {})
+        at = np.cumsum([0, *(c for counts in nodes.counts for c in counts)])
+        for j, (a, b) in enumerate(zip(at, at[1:])):
+            want = path(times[j // n] - nodes.lags[a:b], j) + shifts[j]
+            assert nodes.coords[:, a:b].tobytes() == np.ascontiguousarray(want.T).tobytes()
 
     def test_each_source_keeps_its_own_turn_rate(self):
         # the orbit's tables need 102 nodes where the static source, listed
@@ -904,7 +927,7 @@ class TestSceneEvaluation:
             p, q = nodes.panel_at[i], nodes.panel_at[i + 1]
             for name in ("edges", "lengths", "gaps", "sources"):
                 assert getattr(nodes, name)[p:q].tobytes() == getattr(own, name).tobytes(), name
-            assert framed[2][i::len(times)].tobytes() == own.framed[2].tobytes()
+            assert framed[2][i * len(sources):(i + 1) * len(sources)].tobytes() == own.framed[2].tobytes()
 
     def test_matches_per_point_evaluators(self):
         sources, amb = self.scene()

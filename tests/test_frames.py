@@ -325,7 +325,7 @@ def test_flyby_turn_rate_and_panels_come_from_the_window():
 def test_merged_frame_slots_equal_one_source_frames(kind):
     # three Kepler circles, a flyby whose windows hold no periapsis (a
     # window-start solve) and an eccentric ellipse, framed together: each
-    # source's slots k * T + i answer as its own build_frames does, bit for bit
+    # source's slots i * S + k answer as its own build_frames does, bit for bit
     mass = 1.0e10
     field = {"point_mass": PointMassField((0.0, 0.0, 0.0), mass), "uniform": UniformField((0.0, 0.0, -9.81)),
              "zero": ZeroField()}[kind]
@@ -334,15 +334,15 @@ def test_merged_frame_slots_equal_one_source_frames(kind):
     trajs.append(UniformVelocity(*flyby_state(mass, 5e-2, 2.0, 1.0)))
     trajs.append(UniformVelocity((1.0, 0.0, 0.0), np.array([0.0, math.sqrt(1.9), 0.1]) * _V_CIRC_1M))
     times = [0.0, 0.013, 0.4, 1.25]
-    horizon, count = 0.04, len(times)
+    horizon, count, n = 0.04, len(times), len(trajs)
     frame = build_frames(trajs, field, times, horizon)
-    assert frame.match_times.size == len(trajs) * count
+    assert frame.match_times.size == n * count
     s = np.concatenate([np.linspace(t - horizon, t, 33) for t in times])
     which = np.repeat(np.arange(count), 33)
     for k, traj in enumerate(trajs):
         alone = build_frames([traj], field, times, horizon)
-        slots = slice(k * count, (k + 1) * count)
-        assert np.array_equal(frame.origin(s, which + k * count), alone.origin(s, which))
+        slots = slice(k, None, n)
+        assert np.array_equal(frame.origin(s, which * n + k), alone.origin(s, which))
         assert np.array_equal(frame.match_origin[slots], alone.match_origin)
         assert np.array_equal(frame.turn_rate[slots], alone.turn_rate)
         assert np.array_equal(frame.inside_guard[slots], alone.inside_guard)
@@ -350,7 +350,7 @@ def test_merged_frame_slots_equal_one_source_frames(kind):
             for merged, own in zip(frame._closest_approach, alone._closest_approach):
                 assert np.array_equal(merged[slots], own)
     if kind == "point_mass":  # the flyby's windows end at a window start, not at a periapsis
-        assert not (frame._periapsis[0][3 * count:4 * count] <= horizon).any()
+        assert not (frame._periapsis[0][3::n] <= horizon).any()
 
 
 def test_stumpff_is_unchanged_bit_for_bit():
