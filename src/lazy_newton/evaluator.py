@@ -143,19 +143,14 @@ class KernelNodes:
     Weights absorb the exponential density, so sum(weights) equals the kernel
     mass on [0, t_max], 1 - e^(-t_max_factor), to within an ulp wherever the
     rule has converged, and exactly on every default table tested (see
-    _match_mass). Panel i holds nodes starts[i] up to starts[i + 1], sizes[i]
-    of them, and spans the lags edges[i] to edges[i + 1], the row panels[i].
-    ends[:, i] are the lags halfway between those edges and the panel's
-    outermost nodes, where the evaluator samples the path (_scene_nodes).
+    _match_mass). Panel i holds nodes starts[i] up to starts[i + 1] and spans
+    the lags edges[i] to edges[i + 1].
     """
 
     taus: np.ndarray
     weights: np.ndarray
     edges: np.ndarray  # (P + 1,)
     starts: np.ndarray  # (P + 1,), node offset of each panel, then the node count
-    sizes: np.ndarray  # (P,), nodes per panel
-    panels: np.ndarray  # (P, 2), lag interval of each panel
-    ends: np.ndarray  # (2, P), end-point lags of each panel
 
     @property
     def n_segments(self):
@@ -311,26 +306,25 @@ def _panel_length(params, turn_rate):
     return max_seg
 
 
-def _table_key(params, breakpoints, turn_rate):
-    """(breakpoints, panel length): what fixes a node table."""
-    return tuple(_clean_breakpoints(breakpoints, params.t_max)), _panel_length(params, turn_rate)
+def _kernel_tables(params, breakpoints, rates):
+    """The node tables of many entries in one pass, one per (breakpoints, turn rate) pair.
 
-
-def _kernel_tables(params, keys):
-    """The node tables of many keys (_table_key) in one pass.
-
-    Returns flat lags and weights, each panel's lag edges lo and hi, each
-    panel's node offset ``starts`` (P + 1,) and each table's panel offset
-    ``at`` (len(keys) + 1,): table j holds panels at[j] up to at[j + 1]. The
-    panel edges of every table come from one linspace formula, the orders
-    and nodes from one call each, and each table's weights meet the kernel
-    mass on their own (_match_mass); every step is elementwise, so a table
-    is the same, bit for bit, whichever others share its pass.
+    Entry j's table is split at the kernel lags breakpoints[j] and has
+    panels no longer than _panel_length(params, rates[j]). Returns flat lags
+    and weights, each panel's lag edges lo and hi, each panel's node offset
+    ``starts`` (P + 1,) and each entry's panel offset ``at`` (len(rates) + 1,):
+    entry j holds panels at[j] up to at[j + 1]. The panel edges of every
+    table come from one linspace formula, the orders and nodes from one call
+    each, and each table's weights meet the kernel mass on their own
+    (_match_mass); every step is elementwise, so a table is the same, bit for
+    bit, whichever others share its pass, and a table that repeats in a pass
+    is built again the same.
     """
     t_max = params.t_max
     segments, at = [], [0]
-    for bps, length in keys:
-        bounds = (0.0, *bps, t_max)
+    for bps, rate in zip(breakpoints, rates):
+        length = _panel_length(params, rate)
+        bounds = (0.0, *_clean_breakpoints(bps, t_max), t_max)
         panels = 0
         for a, b in zip(bounds, bounds[1:]):
             n = max(1, math.ceil((b - a) / length - 1e-12))
@@ -351,24 +345,6 @@ def _kernel_tables(params, keys):
     return taus, weights, lo, hi, starts, at
 
 
-def _tables(cache, params, keys):
-    """The node table (KernelNodes) of each key (_table_key).
-
-    ``cache`` holds one table per key; the keys it lacks are built in one
-    _kernel_tables pass, their panel arrays cut from that pass's, and added.
-    """
-    new = [key for key in dict.fromkeys(keys) if key not in cache]
-    if new:
-        taus, weights, lo, hi, starts, at = _kernel_tables(params, new)
-        sizes, panels = np.diff(starts), np.column_stack([lo, hi])
-        ends = np.array([0.5 * (lo + taus[starts[:-1]]), 0.5 * (hi + taus[starts[1:] - 1])])
-        for key, p, q in zip(new, at[:-1], at[1:]):
-            n, e = starts[p], starts[q]
-            cache[key] = KernelNodes(taus[n:e], weights[n:e], np.concatenate([lo[p:q], hi[q - 1:q]]),
-                                     starts[p:q + 1] - n, sizes[p:q], panels[p:q], ends[:, p:q])
-    return [cache[key] for key in keys]
-
-
 def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     """Node/weight table covering [0, t_max], split at the given kernel lags.
 
@@ -378,11 +354,12 @@ def kernel_weights(params, breakpoints=(), *, turn_rate=0.0):
     of an orbit aliases it: at omega tau_g = 25, 5 tau_g panels missed a
     field point 64 radii off the orbit by 3e-5 relative. Each panel's order
     follows from its start lag (_panel_orders). tau_g = 0 has no kernel at
-    all (instantaneous limit). This is _tables for one key.
+    all (instantaneous limit). This is _kernel_tables for one entry.
     """
     if params.tau_g == 0.0:
         raise ValueError("tau_g = 0 is the instantaneous limit; it has no kernel nodes")
-    return _tables({}, params, [_table_key(params, breakpoints, turn_rate)])[0]
+    taus, weights, lo, hi, starts, _ = _kernel_tables(params, [breakpoints], [turn_rate])
+    return KernelNodes(taus, weights, np.append(lo, hi[-1]), starts)
 
 
 def _instantaneous(mass, pos, r, eps):
@@ -489,20 +466,20 @@ class _Nodes(NamedTuple):
     params: KernelParams
 
 
-def _scene_nodes(framed, times, params, cache):
+def _scene_nodes(framed, times, params):
     """Effective node masses of every source at every time, and the coarse panels they fill (_Nodes).
 
     Entry j = i * S + k of the batch is source k at times[i], slot j of
     ``framed`` (_framed). The node at lag tau of an entry sits at
     path(times[i] - tau, j) + shifts[j] and carries -G M times its kernel
-    weight from the entry's node table; the tables of every entry come
-    from one _tables call, and one path call covers every node and panel
-    end point of every entry. Each panel keeps its lag edges (P, 2), the
-    length of the polyline through its nodes and two end points, and that
-    polyline's longest step. The end points sit halfway between the panel's
-    edges and its outermost nodes, on the panel's own side of any jump in
-    the path. tau_g = 0 gives each entry one node, the source itself, and
-    no panels.
+    weight from the entry's node table. One _kernel_tables pass builds every
+    entry's table, whose flat arrays the batch uses as they are, and one
+    path call covers every node and panel end point of every entry. Each
+    panel keeps its lag edges (P, 2), the length of the polyline through
+    its nodes and two end points, and that polyline's longest step. The end
+    points sit halfway between the panel's edges and its outermost nodes,
+    on the panel's own side of any jump in the path. tau_g = 0 gives each
+    entry one node, the source itself, and no panels.
     """
     sources, path, shifts, rates = framed
     count, n = len(times), len(sources)
@@ -514,22 +491,17 @@ def _scene_nodes(framed, times, params, cache):
         return _Nodes(np.ascontiguousarray(at.T), coefs, np.zeros(entries.size), [[1] * n] * count,
                       [i * n for i in range(count + 1)], np.zeros(1, dtype=int), np.zeros((0, 2)), np.zeros(0),
                       np.zeros(0), np.zeros(0, dtype=int), [0] * (count + 1), framed, times, params)
-    rate = rates.tolist()
-    keys = [_table_key(params, _tau_breakpoints(src.trajectory, t, params), rate[i * n + k])
-            for i, t in enumerate(times) for k, src in enumerate(sources)]
-    tabs = _tables(cache, params, keys)
-    ks, ps = [tab.taus.size for tab in tabs], [tab.sizes.size for tab in tabs]
-    node_at = np.array([0, *ks]).cumsum()
-    k = node_at[-1]
-    starts = np.concatenate([[0], np.concatenate([tab.sizes for tab in tabs]).cumsum()])
-    p = starts.size - 1
+    bps = [_tau_breakpoints(src.trajectory, t, params) for t in times for src in sources]
+    taus, weights, lo, hi, starts, table_at = _kernel_tables(params, bps, rates.tolist())
+    node_at = starts[table_at]
+    ks, ps = np.diff(node_at), np.diff(table_at)
+    k, p = node_at[-1], starts.size - 1
+    first, last = starts[:-1], starts[1:] - 1
     # every entry's nodes, then every panel's first and last end points
-    which = np.repeat(np.arange(3 * entries.size) % entries.size, ks + ps + ps)
-    end_lags = np.concatenate([tab.ends for tab in tabs], axis=1)  # (2, P): first end points, then last
-    lags = np.concatenate([tab.taus for tab in tabs] + [end_lags.ravel()])
+    which = np.repeat(np.arange(3 * entries.size) % entries.size, np.concatenate([ks, ps, ps]))
+    lags = np.concatenate([taus, 0.5 * (lo + taus[first]), 0.5 * (hi + taus[last])])
     at = path(when[which] - lags, which)  # one path call
     pts = at[:k]
-    first, last = starts[:-1], starts[1:] - 1
     # polyline steps: node to node, then each panel's first end point to its
     # first node and its last node to its last end point
     d = np.concatenate([np.diff(pts, axis=0), pts[first] - at[k:k + p], at[k + p:] - pts[last]])
@@ -541,11 +513,10 @@ def _scene_nodes(framed, times, params, cache):
     at_panel = first - which[k:k + p]
     lengths = np.add.reduceat(inner, at_panel) + ends[0] + ends[1]
     gaps = np.maximum(np.maximum.reduceat(inner, at_panel), ends.max(axis=0))
-    return _Nodes(np.ascontiguousarray((pts + shifts[which[:k]]).T),
-                  coefs.repeat(ks) * np.concatenate([tab.weights for tab in tabs]), lags[:k],
-                  [ks[i:i + n] for i in range(0, entries.size, n)], node_at.tolist()[::n], starts,
-                  np.concatenate([tab.panels for tab in tabs]), lengths, gaps, (entries % n).repeat(ps),
-                  list(accumulate(ps, initial=0))[::n], framed, times, params)
+    return _Nodes(np.ascontiguousarray((pts + shifts[which[:k]]).T), coefs.repeat(ks) * weights, taus,
+                  [ks[i:i + n].tolist() for i in range(0, entries.size, n)], node_at.tolist()[::n], starts,
+                  np.column_stack([lo, hi]), lengths, gaps, (entries % n).repeat(ps),
+                  table_at.tolist()[::n], framed, times, params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,14 +555,14 @@ def prepare_scenes(sources, ambient, times, params):
 
     Returns one PreparedScene per time, each a slice of one node pass
     (_scene_nodes): every source's frames, node positions and panel
-    polylines are computed for all times at once, and times and sources
-    whose tables share breakpoints and panel length share one table. A scene
-    is the same, bit for bit, whichever other times it was prepared with.
+    polylines are computed for all times at once, and every time and
+    source gets its own table from one pass. A scene is the same, bit for
+    bit, whichever other times it was prepared with.
     """
     times = [float(t) for t in times]
     if not times:
         return []
-    nodes = _scene_nodes(_framed(sources, ambient, times, params), times, params, {})
+    nodes = _scene_nodes(_framed(sources, ambient, times, params), times, params)
     scenes = []
     for i, t in enumerate(times):
         a, b = nodes.node_at[i], nodes.node_at[i + 1]
@@ -758,7 +729,7 @@ def _split_sums(nodes, i, counts, pts, phi, grad, singular):
     return error, (b - a + int(extra), int(m.sum()), int(split.sum()))
 
 
-def _values(framed, points, times, params, tables=None):
+def _values(framed, points, times, params):
     """Per time: potential (n,), field (n, 3), guard mask (n,), guard error and evaluated table.
 
     ``framed`` is as _framed returns it and ``points`` holds one (n, 3)
@@ -782,10 +753,9 @@ def _values(framed, points, times, params, tables=None):
     of the time's first guarded point, naming the nearest node it was
     summed against (_split_sums); _checked raises the earliest. The table
     (nodes, panels, split panels) is summed over sources, split panels at
-    their largest split. ``tables`` keeps node tables between calls (see
-    _tables).
+    their largest split.
     """
-    nodes = _scene_nodes(framed, times, params, {} if tables is None else tables)
+    nodes = _scene_nodes(framed, times, params)
     eps, count = params.softening_eps, len(times)
     node_at, panel_at = nodes.node_at, nodes.panel_at
     reach = _reach(nodes.lengths, nodes.gaps, nodes.panel_at)

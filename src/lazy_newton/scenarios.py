@@ -230,18 +230,18 @@ def estimate_report(rho_nucl):
     )
 
 
-def _potentials(source, ambient, points, times, params, tables, cache=None):
+def _potentials(source, ambient, points, times, params, tables):
     """Potentials at points[i] at times[i], from one batch of frames; logs the tables in ``tables``.
 
-    Each time has its own frame and node table, and its points their own
-    evaluation. ``ambient`` None evaluates the naive form along the lab
-    trajectory. ``cache`` shares node tables between calls.
+    Each time has its own frame and node table, all from one pass, and its
+    points their own evaluation. ``ambient`` None evaluates the naive form
+    along the lab trajectory.
     """
     if ambient is None:
         framed = _naive([source], len(times))
     else:
         framed = _framed([source], ambient, times, params)
-    out = _checked(_values(framed, [np.atleast_2d(p) for p in points], times, params, cache))
+    out = _checked(_values(framed, [np.atleast_2d(p) for p in points], times, params))
     tables.extend(table for _, _, table in out)
     return [phi for phi, _, _ in out]
 
@@ -483,9 +483,9 @@ def boost_demo(v, tau_g, mass, r, *, params=None):
     ambient = ZeroField()
     t_eval = 0.0
 
-    tables, cache = [], {}
+    tables = []
     rest_naive, boosted_naive, rest_framed, boosted_framed = (
-        float(_potentials(src, amb, [r], [t_eval], params, tables, cache)[0][0])
+        float(_potentials(src, amb, [r], [t_eval], params, tables)[0][0])
         for src, amb in ((rest_source, None), (boosted_source, None),
                          (rest_source, ambient), (boosted_source, ambient)))
 

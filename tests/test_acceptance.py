@@ -393,7 +393,7 @@ def field_sum_error(sources, amb, pts, t, params):
     block of several points must split no panel, so that all of its points
     share the coarse table.
     """
-    nodes = _scene_nodes(_framed(sources, amb, [t], params), [t], params, {})
+    nodes = _scene_nodes(_framed(sources, amb, [t], params), [t], params)
     _, grad, singular = scene_potential_field(sources, amb, pts, t, params)
     m = _split_counts(nodes, 0, _tile(pts, nodes.coords)[2]).max(axis=0, initial=1)
     assert not singular.any() and (len(pts) == 1 or (m == 1).all())

@@ -182,13 +182,17 @@ class TestTablePass:
     def test_batched_tables_equal_tables_built_alone(self, log_tau, order, data):
         params = KernelParams(10.0 ** log_tau, quadrature=GaussLegendre(order))
         drawn = data.draw(st.lists(table_keys(params.t_max), min_size=1, max_size=6))
-        keys = [evaluator._table_key(params, bps, rate / params.tau_g) for bps, rate in drawn]
-        for (bps, rate), tab in zip(drawn, evaluator._tables({}, params, keys)):
-            alone = kernel_weights(params, bps, turn_rate=rate / params.tau_g)
-            for name in ("taus", "weights", "edges", "starts", "sizes", "panels", "ends"):
-                assert getattr(tab, name).tobytes() == getattr(alone, name).tobytes(), name
-            assert tab.panels.tobytes() == np.column_stack([alone.edges[:-1], alone.edges[1:]]).tobytes()
-            np.testing.assert_array_equal(tab.sizes, np.diff(alone.starts))
+        drawn.append(drawn[0])  # a table that repeats in a pass is built again
+        bps, rates = zip(*drawn)
+        taus, weights, lo, hi, starts, at = evaluator._kernel_tables(params, bps, [r / params.tau_g for r in rates])
+        for j, (b, rate) in enumerate(drawn):
+            alone = kernel_weights(params, b, turn_rate=rate / params.tau_g)
+            p, q = at[j], at[j + 1]
+            n, e = starts[p], starts[q]
+            assert taus[n:e].tobytes() == alone.taus.tobytes()
+            assert weights[n:e].tobytes() == alone.weights.tobytes()
+            assert np.append(lo[p:q], hi[q - 1]).tobytes() == alone.edges.tobytes()
+            assert (starts[p:q + 1] - n).tobytes() == alone.starts.tobytes()
 
     def test_batched_tables_that_miss_the_mass(self):
         # breakpoints whose raw weights miss the kernel mass by a few ulp: some
@@ -196,16 +200,18 @@ class TestTablePass:
         params = KernelParams(1e-3)
         mass = -math.expm1(-40.0)
         bps = [[5e-5], [9.9937e-5], [2.646746e-3], [3.245995e-3], [3.34587e-3], []]
-        keys = [evaluator._table_key(params, b, 0.0) for b in bps]
+        _, weights, lo, hi, starts, at = evaluator._kernel_tables(params, bps, [0.0] * len(bps))
         missed = stepped = 0
-        for b, tab in zip(bps, evaluator._tables({}, params, keys)):
-            raw = _panel_nodes(tab.panels[:, 0], tab.panels[:, 1], 1e-3, tuple(tab.sizes.tolist()))[1]
+        for j, b in enumerate(bps):
+            p, q = at[j], at[j + 1]
+            tab = weights[starts[p]:starts[q]]
+            raw = _panel_nodes(lo[p:q], hi[p:q], 1e-3, tuple(np.diff(starts[p:q + 1]).tolist()))[1]
             missed += raw.sum() != mass
             top = raw.copy()
             top[np.argmax(top)] -= raw.sum() - mass
             stepped += top.sum() != mass
-            assert tab.weights.tobytes() == kernel_weights(params, b).weights.tobytes()
-            assert tab.weights.sum() == mass
+            assert tab.tobytes() == kernel_weights(params, b).weights.tobytes()
+            assert tab.sum() == mass
         assert missed >= 5 and stepped >= 3
 
     @settings(max_examples=200, deadline=None)
@@ -678,7 +684,7 @@ class TestMergedFrames:
         _, path, shifts, _ = framed
         for j in range(n * len(times)):
             assert shifts[j].tobytes() == sources[j % n].trajectory.position(times[j // n]).tobytes()
-        nodes = _scene_nodes(framed, times, params, {})
+        nodes = _scene_nodes(framed, times, params)
         at = np.cumsum([0, *(c for counts in nodes.counts for c in counts)])
         for j, (a, b) in enumerate(zip(at, at[1:])):
             want = path(times[j // n] - nodes.lags[a:b], j) + shifts[j]
@@ -874,7 +880,7 @@ class TestSplitGuard:
 
 def node_pass(sources, amb, t, params):
     """The node pass (_Nodes) of one time, as _values plans its splits from it."""
-    return _scene_nodes(_framed(sources, amb, [t], params), [t], params, {})
+    return _scene_nodes(_framed(sources, amb, [t], params), [t], params)
 
 
 class TestSceneEvaluation:
@@ -916,7 +922,7 @@ class TestSceneEvaluation:
         assert np.diff(kernel_weights(params).starts)[-1] == 9
         times = [0.013, 0.052, 0.021, 0.07, 0.013]
         framed = _framed(sources, amb, times, params)
-        nodes = _scene_nodes(framed, times, params, {})
+        nodes = _scene_nodes(framed, times, params)
         for i, (t, scene) in enumerate(zip(times, prepare_scenes(sources, amb, times, params))):
             alone = prepare_scene(sources, amb, t, params)
             assert scene.t == alone.t and scene.n_nodes_per_source == alone.n_nodes_per_source

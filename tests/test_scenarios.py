@@ -333,19 +333,19 @@ class TestWorkPerEvaluation:
 
     def test_jump_frames_every_time_in_one_call(self, calls):
         # 25 times inside the 40 tau_g window split their tables at their own
-        # jump lag; the 25 past it have no breakpoint and share one table.
-        # All 26 tables come from one pass.
+        # jump lag; the 25 past it have no breakpoint and the same table,
+        # built again. All 50 tables come from one pass.
         tau_g = 1e-3
         times = np.concatenate([np.linspace(0.5, 39.5, 25), np.linspace(41.0, 65.0, 25)]) * tau_g
         report = jump_scenario((0, 0, 0.01), tau_g, 1.0, (0, 0.1, 0), times)
         assert report.diagnostics["potential_evaluations"] == 50
         assert calls == {"build_frames": 1, "_kernel_tables": 1}
 
-    def test_boost_builds_its_default_table_once(self, calls):
-        # the naive and framed, rest and boosted evaluations all use the
-        # default table: one pass for the four
+    def test_boost_builds_one_table_pass_per_evaluation(self, calls):
+        # the naive and framed, rest and boosted evaluations each take their
+        # own node pass; only the two framed ones build frames
         boost_demo((1000.0, 0.0, 0.0), 1e-3, 1.0, (0, 1.0, 0))
-        assert calls == {"build_frames": 2, "_kernel_tables": 1}
+        assert calls == {"build_frames": 2, "_kernel_tables": 4}
 
 
 class TestDiagnostics:
